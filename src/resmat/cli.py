@@ -261,9 +261,10 @@ def build_parser():
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("RESMAT_THREADS", "1")),
-        help="worker cap for enumeration commands (results are identical for "
-        "any value; the current implementation is sequential)",
+        default=None,
+        help="worker cap for enumeration commands, default RESMAT_THREADS or 1 "
+        "(results are identical for any value; the current implementation is "
+        "sequential)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -330,12 +331,22 @@ def _join_value_flags(argv):
     return out
 
 
+def _threads_from_env():
+    raw = os.environ.get("RESMAT_THREADS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"RESMAT_THREADS must be an integer, got {raw!r}") from None
+
+
 def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_value_flags(argv))
     try:
+        if args.threads is None:
+            args.threads = _threads_from_env()
         return args.func(args)
     except NotAResidueMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)

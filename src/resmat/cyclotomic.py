@@ -260,7 +260,8 @@ def primary_generator(x):
     if x.norm() % _ramified(x) == 0:
         raise RamifiedPrimeError(f"{x} divides {_ramified(x)}; no primary associate")
     hits = [x * u for u in x.units() if is_primary(x * u)]
-    assert len(hits) == 1, f"expected exactly one primary associate of {x}, got {hits}"
+    if len(hits) != 1:
+        raise RuntimeError(f"expected exactly one primary associate of {x}, got {hits}")
     return hits[0]
 
 

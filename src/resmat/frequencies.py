@@ -7,6 +7,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .matrices import SignMatrix, canonical_form
 from .qr import is_qr_matrix, qr_matrix_from_primes
@@ -70,7 +71,10 @@ def _class_table():
         if is_qr_matrix(mat).verdict:
             reps.setdefault(canonical_form(mat), []).append(code)
     ordered = sorted(reps, key=lambda m: m._key())
-    assert len(ordered) == NUM_CLASSES
+    if len(ordered) != NUM_CLASSES:
+        raise RuntimeError(
+            f"expected {NUM_CLASSES} classes of 3x3 QR matrices, got {len(ordered)}"
+        )
     table = {}
     for class_id, rep in enumerate(ordered, start=1):
         for code in reps[rep]:
@@ -118,49 +122,80 @@ def exact_frequencies():
     return FrequencyReport(tuple(counts), 64)
 
 
+def _residue_mask(pattern, primes):
+    """Bitset whose bit k is pattern[primes[k] % len(pattern)] (ASCII 0/1)."""
+    m = len(pattern)
+    digits = bytes([pattern[r % m] for r in primes])
+    return int(digits[::-1], 2)
+
+
+def _nonresidue_pattern(p):
+    """ASCII 0/1 over j mod 4p: 1 where (p/r) = -1 for the odd primes r = j (mod 4p).
+
+    By quadratic reciprocity (p/r) = (r/p) * (-1)^((p-1)/2 * (r-1)/2), so it
+    depends only on r mod p (through the squares mod p) and on r mod 4.
+    """
+    residue = bytearray(b"0") * p
+    for k in range(1, (p + 1) // 2):
+        residue[k * k % p] = 49  # "1"
+    nonresidue = residue.translate(bytes.maketrans(b"01", b"10"))
+    nonresidue[0] = 48  # "0": (p/p) = 0
+    pattern = nonresidue * 4
+    if p % 4 == 3:  # the sign flips for r = 3 (mod 4)
+        pattern[3::4] = (residue * 4)[3::4]
+    return bytes(pattern)
+
+
 def empirical_scan(product_bound):
-    """Classify every triple of distinct odd primes p < q < r with pqr <= bound."""
+    """Classify every triple of distinct odd primes p < q < r with pqr <= bound.
+
+    For fixed p < q the class of (p, q, r) depends only on (p/r), (q/r) and
+    r mod 4, since reciprocity fixes (r/p) and (r/q) from them.  So each
+    (p, q) window of r is counted with popcounts of three bitsets over prime
+    indices instead of one triple at a time.
+    """
     if product_bound < MIN_PRODUCT_BOUND:
         raise ValueError(
             f"product bound must be >= {MIN_PRODUCT_BOUND}, got {product_bound}"
         )
     table, _ = _class_table()
     primes = sieve_primes(product_bound // 15)[1:]  # odd primes only
+    three_mod_4 = _residue_mask(b"0001", primes)
+    # N_x for every x that can be p or q (x^2 < bound / 3), with bit k set
+    # when (x / primes[k]) = -1, up to the widest window x is in: p = 3.
+    nonres = [
+        _residue_mask(
+            _nonresidue_pattern(x),
+            primes[: bisect_right(primes, product_bound // (3 * x))],
+        )
+        for x in primes[: bisect_right(primes, isqrt(product_bound // 3))]
+    ]
     counts = [0] * NUM_CLASSES
     total = 0
-    pair_cache = {}
-
-    def pair_bits(ai, bi):
-        key = (ai, bi)
-        hit = pair_cache.get(key)
-        if hit is None:
-            p, q = primes[ai], primes[bi]
-            hit = (legendre(p, q) == -1, legendre(q, p) == -1)
-            pair_cache[key] = hit
-        return hit
-
     for ai in range(len(primes)):
         p = primes[ai]
         if ai + 2 >= len(primes) or p * primes[ai + 1] * primes[ai + 2] > product_bound:
             break
+        p3 = p % 4 == 3
         for bi in range(ai + 1, len(primes)):
             q = primes[bi]
             if bi + 1 >= len(primes) or p * q * primes[bi + 1] > product_bound:
                 break
-            max_r = product_bound // (p * q)
-            hi = bisect_right(primes, max_r)
-            pq_n, pq_d = pair_bits(ai, bi)
-            for ci in range(bi + 1, hi):
-                pr_n, pr_d = pair_bits(ai, ci)
-                qr_n, qr_d = pair_bits(bi, ci)
-                code = (
-                    pq_n
-                    | (pq_d << 1)
-                    | (pr_n << 2)
-                    | (pr_d << 3)
-                    | (qr_n << 4)
-                    | (qr_d << 5)
-                )
-                counts[table[code] - 1] += 1
-                total += 1
+            q3 = q % 4 == 3
+            hi = bisect_right(primes, product_bound // (p * q))
+            window = (1 << hi) - (1 << (bi + 1))  # r = primes[bi + 1 : hi]
+            # reciprocity: (b/a) = (a/b) unless a = b = 3 (mod 4)
+            pq = legendre(p, q) == -1
+            pair = pq | (pq ^ (p3 & q3)) << 1
+            # the window's r with (p/r) = -1, (q/r) = -1 and r = 3 (mod 4),
+            # each as (complement, set), so that index 1 means the bit is set
+            pn, qn, r3 = (
+                (window & ~mask, window & mask)
+                for mask in (nonres[ai], nonres[bi], three_mod_4)
+            )
+            for x, y, z in itertools.product((0, 1), repeat=3):
+                code = pair | x << 2 | (x ^ (p3 & z)) << 3
+                code |= y << 4 | (y ^ (q3 & z)) << 5
+                counts[table[code] - 1] += (pn[x] & qn[y] & r3[z]).bit_count()
+            total += hi - bi - 1
     return FrequencyReport(tuple(counts), total)

@@ -195,7 +195,8 @@ def cubic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
     if not is_cubic_residue_matrix(matrix):
         raise NotAResidueMatrixError("matrix is not symmetric")
     chosen = _scan_witnesses(matrix, "eisenstein", norm_limit)
-    assert cubic_matrix(chosen) == matrix
+    if cubic_matrix(chosen) != matrix:
+        raise RuntimeError(f"cubic witness {chosen} does not reproduce the matrix")
     return chosen
 
 
@@ -212,5 +213,6 @@ def quartic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
         return (cand.a % 4, cand.b % 4) == want
 
     chosen = _scan_witnesses(matrix, "gaussian", norm_limit, class_filter)
-    assert quartic_matrix(chosen) == matrix
+    if quartic_matrix(chosen) != matrix:
+        raise RuntimeError(f"quartic witness {chosen} does not reproduce the matrix")
     return chosen

@@ -134,7 +134,8 @@ def witness_primes(matrix, limit):
             ):
                 break
         primes.append(p)
-    assert qr_matrix_from_primes(primes) == matrix
+    if qr_matrix_from_primes(primes) != matrix:
+        raise RuntimeError(f"witness primes {primes} do not reproduce the matrix")
     return primes
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import SearchExhaustedError
@@ -44,8 +45,8 @@ def sieve_primes(bound):
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return list(compress(range(bound + 1), sieve))
 
 
 def legendre(a, p):

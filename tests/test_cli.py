@@ -169,6 +169,17 @@ class TestCount:
         code, out, _ = run_cli(capsys, ["--threads", "4", "count", "--n", "3"])
         assert code == 0 and out.strip() == "40"
 
+    def test_threads_env_accepted(self, capsys, monkeypatch):
+        monkeypatch.setenv("RESMAT_THREADS", "3")
+        code, out, _ = run_cli(capsys, ["count", "--n", "3"])
+        assert code == 0 and out.strip() == "40"
+
+    def test_malformed_threads_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("RESMAT_THREADS", "x")
+        code, out, err = run_cli(capsys, ["count", "--n", "3"])
+        assert code == 2 and out == ""
+        assert err == "error: RESMAT_THREADS must be an integer, got 'x'\n"
+
 
 class TestFreq:
     def test_exact(self, capsys):

@@ -1,11 +1,19 @@
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resmat.frequencies import (
     MIN_PRODUCT_BOUND,
     NUM_CLASSES,
+    FrequencyReport,
+    _class_table,
+    _nonresidue_pattern,
+    _residue_mask,
     class_representatives,
     configuration_class,
     empirical_scan,
@@ -13,6 +21,33 @@ from resmat.frequencies import (
 )
 from resmat.matrices import canonical_form
 from resmat.qr import is_qr_matrix, qr_matrix_from_primes
+from resmat.rational import legendre, sieve_primes
+
+ORACLE_MAX_BOUND = 2 * 10**5
+
+
+def _triples(bound):
+    """Every triple of odd primes p < q < r with pqr <= bound."""
+    odd = sieve_primes(bound // 15)[1:]
+    for i, p in enumerate(odd):
+        for j in range(i + 1, bisect_right(odd, isqrt(bound // p))):
+            q = odd[j]
+            for r in odd[j + 1 : bisect_right(odd, bound // (p * q))]:
+                yield p, q, r
+
+
+def _scan_oracle(product_bound):
+    """The per-triple scan: six Legendre symbols and a class lookup per triple."""
+    table, _ = _class_table()
+    counts = [0] * NUM_CLASSES
+    for p, q, r in _triples(product_bound):
+        pairs = ((p, q), (q, p), (p, r), (r, p), (q, r), (r, q))
+        code = sum(1 << t for t, (a, b) in enumerate(pairs) if legendre(a, b) == -1)
+        counts[table[code] - 1] += 1
+    return FrequencyReport(tuple(counts), sum(counts))
+
+
+TRIPLE_PRODUCTS = sorted(p * q * r for p, q, r in _triples(ORACLE_MAX_BOUND))
 
 
 class TestClassTable:
@@ -126,3 +161,33 @@ class TestEmpiricalScan:
     def test_frequencies_sum_to_one(self):
         report = empirical_scan(5000)
         assert sum(report.frequencies) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(MIN_PRODUCT_BOUND, ORACLE_MAX_BOUND),
+            st.sampled_from(TRIPLE_PRODUCTS),
+            st.sampled_from(TRIPLE_PRODUCTS[1:]).map(lambda n: n - 1),
+        )
+    )
+    @example(MIN_PRODUCT_BOUND)
+    @example(272)  # 3 * 7 * 13 - 1
+    @example(273)  # 3 * 7 * 13
+    @example(ORACLE_MAX_BOUND)
+    def test_matches_per_triple_oracle(self, bound):
+        assert empirical_scan(bound) == _scan_oracle(bound)
+
+
+class TestNonresidueMask:
+    def test_agrees_with_euler_criterion(self):
+        # bit k of N_p is set exactly when (p / r_k) = -1, for r_k != p, and
+        # clear at r_k = p, where the symbol is 0
+        odd = sieve_primes(10**4)[1:]
+        for p in odd[: bisect_right(odd, 2000)]:
+            mask = _residue_mask(_nonresidue_pattern(p), odd)
+            for k, r in enumerate(odd):
+                want = r != p and legendre(p, r) == -1
+                assert (mask >> k & 1) == want, (p, r)
+
+    def test_three_mod_4_mask(self):
+        assert _residue_mask(b"0001", [3, 5, 7, 11, 13]) == 0b01101

@@ -42,7 +42,12 @@ class TestSieve:
             sieve_primes(1)
 
     def test_against_trial_division(self):
-        assert sieve_primes(2000) == trial_division_primes(2000)
+        expected = trial_division_primes(2000)
+        for bound in range(2, 2001):
+            assert sieve_primes(bound) == [p for p in expected if p <= bound]
+
+    def test_prime_count_at_one_million(self):
+        assert len(sieve_primes(10**6)) == 78498
 
     def test_prime_count_at_scan_limit(self):
         # 163841 is the largest prime admitted by the pqr <= 2457615 scan
