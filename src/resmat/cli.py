@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from decimal import ROUND_HALF_EVEN, Decimal
 
@@ -127,7 +126,7 @@ def cmd_check(args):
 def cmd_witness(args):
     matrix = _read_matrix(args.file, args.m)
     if args.m == 2:
-        limit = args.limit if args.limit is not None else 10**7
+        limit = args.limit if args.limit is not None else qr.DEFAULT_PRIME_LIMIT
         primes = qr.witness_primes(matrix, limit)
     else:
         limit = args.limit if args.limit is not None else higher.DEFAULT_NORM_LIMIT
@@ -150,11 +149,12 @@ def cmd_witness(args):
 
 def cmd_count(args):
     n = args.n
-    if not 2 <= n <= 6:
-        print(f"error: --n must be in 2..6, got {n}", file=sys.stderr)
+    if not qr.COUNT_MIN_N <= n <= matrices.COUNT_MAX_N:
+        print(
+            f"error: --n must be in {qr.COUNT_MIN_N}..{matrices.COUNT_MAX_N}, got {n}",
+            file=sys.stderr,
+        )
         return 2
-    if n == 6:
-        print("warning: n=6 enumeration may take minutes", file=sys.stderr)
     if args.kind == "qr":
         value = qr.count_qr_classes(n) if args.classes else qr.count_qr_matrices(n)
     elif args.kind == "symmetric":
@@ -258,14 +258,6 @@ def build_parser():
         prog="resmat",
         description="Quadratic, cubic, and quartic residue matrix toolkit",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker cap for enumeration commands, default RESMAT_THREADS or 1 "
-        "(results are identical for any value; the current implementation is "
-        "sequential)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="decide residue-matrix membership")
@@ -331,22 +323,12 @@ def _join_value_flags(argv):
     return out
 
 
-def _threads_from_env():
-    raw = os.environ.get("RESMAT_THREADS", "1")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"RESMAT_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv=None):
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_value_flags(argv))
     try:
-        if args.threads is None:
-            args.threads = _threads_from_env()
         return args.func(args)
     except NotAResidueMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,7 +9,9 @@ bit-reproducible.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from math import factorial, gcd
 
 from .errors import UnsupportedDimensionError
 
@@ -17,6 +19,9 @@ from .errors import UnsupportedDimensionError
 ZERO = None
 
 CANONICAL_DIMENSION_LIMIT = 8
+# Largest n the census counters accept; their cost grows with the number of
+# partitions of n, not with n!.
+COUNT_MAX_N = 20
 
 _SIGN_TO_EXP = {1: 0, -1: 1}
 _EXP_TO_SIGN = {0: 1, 1: -1}
@@ -211,101 +216,78 @@ def equivalence_classes(matrices):
     return sorted(classes.items(), key=lambda kv: kv[0]._key())
 
 
-# --- packed enumeration of symmetric / skew-symmetric sign-matrix classes ---
+# --- class counts by Burnside's lemma over cycle types ---
 #
-# A symmetric sign matrix is determined by one bit per unordered pair (bit set
-# means entry -1); a skew-symmetric one by one orientation bit per pair (bit
-# set means M[i][j] = +1 for i < j).  Conjugation acts by permuting pairs,
-# plus an orientation flip in the skew case when the pair order reverses.
+# A permutation sigma fixes a symmetric sign matrix exactly when the matrix is
+# constant on each sigma-orbit of unordered pairs {i, j}, so it fixes 2^k of
+# them, k the number of pair orbits.  A skew-symmetric matrix needs one sign
+# per pair orbit too, but an even cycle maps some pair {i, j} to (j, i),
+# forcing M[i][j] = -M[i][j]; so the count is 2^k when all cycles are odd and
+# 0 otherwise.  Both depend only on the cycle type of sigma (Harary-Palmer,
+# Graphical Enumeration, ch. 1 and 5).
 
 
-def _pair_positions(n):
-    return {
-        (i, j): t
-        for t, (i, j) in enumerate((i, j) for i in range(n) for j in range(i + 1, n))
-    }
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
-def _symmetric_maps(n):
-    pos = _pair_positions(n)
-    maps = []
-    for sigma in itertools.permutations(range(n)):
-        maps.append(
-            [pos[tuple(sorted((sigma[i], sigma[j])))] for (i, j) in pos]
-        )
-    return maps
+def _cycle_type_size(cycles):
+    """Number of permutations of sum(cycles) points with this cycle type."""
+    size = factorial(sum(cycles))
+    for length, mult in Counter(cycles).items():
+        size //= length**mult * factorial(mult)
+    return size
 
 
-def _skew_maps(n):
-    pos = _pair_positions(n)
-    maps = []
-    for sigma in itertools.permutations(range(n)):
-        entry = []
-        for (i, j) in pos:
-            a, b = sigma[i], sigma[j]
-            flip = a > b
-            entry.append((pos[(min(a, b), max(a, b))], flip))
-        maps.append(entry)
-    return maps
+def pair_orbit_count(cycles):
+    """Orbits on unordered pairs of a permutation with the given cycle type."""
+    return sum(c // 2 for c in cycles) + sum(
+        gcd(a, b) for a, b in itertools.combinations(cycles, 2)
+    )
 
 
-def orbit_class_count(packed, apply_maps):
-    """Number of orbits of a conjugation-closed set of packed matrices.
+def orbit_class_count(n, fixed):
+    """Number of permutation-equivalence classes of a conjugation-closed set.
 
-    apply_maps is a list of callables, one per permutation, mapping a packed
-    matrix to its conjugate.  Work is proportional to (#classes) * n!.
+    fixed(cycles) is the number of members that a permutation of cycle type
+    cycles (a partition of n) fixes; by Burnside's lemma the class count is
+    the average of that number over all n! permutations.
     """
-    seen = set()
-    classes = 0
-    for x in packed:
-        if x in seen:
-            continue
-        classes += 1
-        for f in apply_maps:
-            seen.add(f(x))
+    total = sum(_cycle_type_size(c) * fixed(c) for c in _partitions(n))
+    classes, rest = divmod(total, factorial(n))
+    if rest:
+        raise RuntimeError(f"fixed-point counts for n={n} do not average to an integer")
     return classes
+
+
+def fixed_symmetric(cycles):
+    """Symmetric sign matrices fixed by a permutation of this cycle type."""
+    return 1 << pair_orbit_count(cycles)
+
+
+def fixed_skew(cycles):
+    """Skew-symmetric sign matrices fixed by a permutation of this cycle type."""
+    return 0 if any(c % 2 == 0 for c in cycles) else 1 << pair_orbit_count(cycles)
+
+
+def _check_class_count_range(n):
+    if not 1 <= n <= COUNT_MAX_N:
+        raise UnsupportedDimensionError(f"n must be in 1..{COUNT_MAX_N}, got {n}")
 
 
 def count_symmetric_classes(n):
     """Permutation-equivalence classes of symmetric n x n sign matrices."""
-    if not 1 <= n <= CANONICAL_DIMENSION_LIMIT:
-        raise UnsupportedDimensionError(f"n must be in 1..8, got {n}")
-    if n == 1:
-        return 1
-    maps = _symmetric_maps(n)
-
-    def applier(pm):
-        def f(x):
-            y = 0
-            for dst, src in enumerate(pm):
-                y |= ((x >> src) & 1) << dst
-            return y
-
-        return f
-
-    k = n * (n - 1) // 2
-    return orbit_class_count(range(1 << k), [applier(pm) for pm in maps])
+    _check_class_count_range(n)
+    return orbit_class_count(n, fixed_symmetric)
 
 
 def count_skew_classes(n):
     """Permutation-equivalence classes of skew-symmetric n x n sign matrices."""
-    if not 1 <= n <= CANONICAL_DIMENSION_LIMIT:
-        raise UnsupportedDimensionError(f"n must be in 1..8, got {n}")
-    if n == 1:
-        return 1
-    maps = _skew_maps(n)
-
-    def applier(pm):
-        def f(x):
-            y = 0
-            for dst, (src, flip) in enumerate(pm):
-                bit = (x >> src) & 1
-                if flip:
-                    bit ^= 1
-                y |= bit << dst
-            return y
-
-        return f
-
-    k = n * (n - 1) // 2
-    return orbit_class_count(range(1 << k), [applier(pm) for pm in maps])
+    _check_class_count_range(n)
+    return orbit_class_count(n, fixed_skew)

@@ -11,11 +11,18 @@ from .errors import (
     SearchExhaustedError,
     UnsupportedDimensionError,
 )
-from .matrices import BlockDecomposition, SignMatrix, orbit_class_count
+from .matrices import (
+    COUNT_MAX_N,
+    BlockDecomposition,
+    SignMatrix,
+    orbit_class_count,
+    pair_orbit_count,
+)
 from .rational import is_prime, jacobi, legendre
 
 COUNT_MIN_N = 2
-COUNT_MAX_N = 6
+# Default prime bound of the m=2 witness search in the command line.
+DEFAULT_PRIME_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -156,31 +163,15 @@ def jacobi_matrix(values):
     return SignMatrix.from_signs(rows)
 
 
-# --- exhaustive counting ---
+# --- counting ---
 #
-# diag(M^2)_i depends only on the pair products t_ij = M[i][j]*M[j][i], and
-# every assignment of the n(n-1)/2 pair products is realized by exactly
-# 2^(n(n-1)/2) sign matrices (upper triangle free, lower forced).  So the
-# membership census runs over 2^(n(n-1)/2) product masks instead of all
-# 2^(n(n-1)) matrices, with popcounts giving the diagonal.
-
-
-def _pair_list(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _valid_product_masks(n):
-    pairs = _pair_list(n)
-    touch = [0] * n
-    for t, (i, j) in enumerate(pairs):
-        touch[i] |= 1 << t
-        touch[j] |= 1 << t
-    valid = []
-    for mask in range(1 << len(pairs)):
-        diag = tuple((n - 1) - 2 * (mask & touch[i]).bit_count() for i in range(n))
-        if split_size(diag) is not None:
-            valid.append(mask)
-    return valid
+# The pair products t_ij = M[i][j]*M[j][i] of a QR matrix are -1 exactly on
+# the pairs inside one red set R with |R| >= 2, or nowhere (the block form).
+# That leaves 2^n - n choices of R; given R, the upper triangle is free and
+# the lower one forced, so there are (2^n - n) * 2^(n(n-1)/2) QR matrices.
+# A permutation sigma fixes one only if it fixes R, so R is a union of cycles
+# of sigma; inside R the matrix is skew, so those cycles must be odd (see
+# matrices.fixed_skew), and each pair orbit of sigma carries one free sign.
 
 
 def _check_count_range(n):
@@ -193,55 +184,23 @@ def _check_count_range(n):
 def count_qr_matrices(n):
     """Number of n x n QR matrices (4, 40, 768, 27648, 1900544 for n = 2..6)."""
     _check_count_range(n)
-    k = n * (n - 1) // 2
-    return len(_valid_product_masks(n)) << k
+    return ((1 << n) - n) << (n * (n - 1) // 2)
 
 
-def _packed_qr_matrices(n):
-    """All QR matrices packed as n(n-1)-bit ints (bit set = entry -1)."""
-    pairs = _pair_list(n)
-    pos = {
-        (i, j): t
-        for t, (i, j) in enumerate((i, j) for i in range(n) for j in range(n) if i != j)
-    }
-    upper = [pos[(i, j)] for (i, j) in pairs]
-    lower = [pos[(j, i)] for (i, j) in pairs]
-    k = len(pairs)
-    out = []
-    for tmask in _valid_product_masks(n):
-        for u in range(1 << k):
-            x = 0
-            for t in range(k):
-                ub = (u >> t) & 1
-                x |= ub << upper[t]
-                x |= (ub ^ ((tmask >> t) & 1)) << lower[t]
-            out.append(x)
-    return out
+def fixed_qr(cycles):
+    """QR matrices fixed by a permutation of this cycle type.
 
-
-def _full_conjugation_appliers(n):
-    pos = {
-        (i, j): t
-        for t, (i, j) in enumerate((i, j) for i in range(n) for j in range(n) if i != j)
-    }
-    appliers = []
-    for sigma in itertools.permutations(range(n)):
-        pm = [pos[(sigma[i], sigma[j])] for (i, j) in pos]
-
-        def f(x, pm=pm):
-            y = 0
-            for dst, src in enumerate(pm):
-                y |= ((x >> src) & 1) << dst
-            return y
-
-        appliers.append(f)
-    return appliers
+    R is empty or a union of odd cycles other than a single fixed point.
+    """
+    odd = sum(c % 2 for c in cycles)
+    fix = cycles.count(1)
+    return ((1 << odd) - fix) << pair_orbit_count(cycles)
 
 
 def count_qr_classes(n):
     """Permutation-equivalence classes of n x n QR matrices."""
     _check_count_range(n)
-    return orbit_class_count(_packed_qr_matrices(n), _full_conjugation_appliers(n))
+    return orbit_class_count(n, fixed_qr)
 
 
 # --- graph encoding of QR matrices ---

@@ -7,15 +7,24 @@ from math import gcd, isqrt
 
 from .errors import SearchExhaustedError
 
-# Deterministic Miller-Rabin base set, valid for all n < 3.3 * 10**24
-# (covers everything below 2**63 with room to spare).
+# Deterministic Miller-Rabin base set.  The least composite that is a strong
+# pseudoprime to all of these bases is psi_12 = 318665857834031151167461
+# = 399165290221 * 798330580441 (Sorenson and Webster 2017), so the test is
+# exact below it; everything below 2**63 is covered with room to spare.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_LIMIT = 318665857834031151167461
 
 
 def is_prime(n):
-    """Deterministic primality test for n < 3.3e24 (Miller-Rabin, fixed bases)."""
+    """Deterministic primality test for n < MR_LIMIT (Miller-Rabin, fixed bases).
+
+    Raises ValueError for n >= MR_LIMIT, where the fixed bases no longer
+    decide primality.
+    """
     if n < 2:
         return False
+    if n >= MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {MR_LIMIT}, got {n}")
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p

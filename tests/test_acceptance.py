@@ -4,13 +4,10 @@ conftest.py emits one machine-readable PASS or FAIL line per criterion.
 """
 
 import itertools
-import os
 import random
 import time
 from fractions import Fraction
 from math import gcd
-
-import pytest
 
 from resmat.cyclotomic import (
     EisensteinInt,
@@ -47,8 +44,6 @@ from resmat.qr import (
 )
 from resmat.rational import legendre, sieve_primes
 
-RUN_STRETCH = os.environ.get("RESMAT_STRETCH") == "1"
-
 
 def sign_matrices(n, m=2):
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -75,15 +70,15 @@ def primary_prime_elements(ring, norm_limit):
 
 def test_criterion_1_qr_matrix_counts():
     start = time.monotonic()
-    assert [count_qr_matrices(n) for n in range(2, 6)] == [4, 40, 768, 27648]
+    assert [count_qr_matrices(n) for n in range(2, 7)] == [4, 40, 768, 27648, 1900544]
     assert time.monotonic() - start < 10
 
 
 def test_criterion_2_class_counts():
     start = time.monotonic()
-    assert [count_qr_classes(n) for n in range(2, 6)] == [3, 10, 47, 314]
-    assert [count_symmetric_classes(n) for n in range(2, 6)] == [2, 4, 11, 34]
-    assert [count_skew_classes(n) for n in range(2, 6)] == [1, 2, 4, 12]
+    assert [count_qr_classes(n) for n in range(2, 7)] == [3, 10, 47, 314, 3360]
+    assert [count_symmetric_classes(n) for n in range(2, 7)] == [2, 4, 11, 34, 156]
+    assert [count_skew_classes(n) for n in range(2, 7)] == [1, 2, 4, 12, 56]
     assert time.monotonic() - start < 60
 
 
@@ -230,11 +225,3 @@ def test_criterion_9_closure_properties():
         for mat in sign_matrices(n):
             if is_qr_matrix(mat).verdict:
                 assert from_config_graph(to_config_graph(mat)) == mat
-
-
-@pytest.mark.skipif(not RUN_STRETCH, reason="set RESMAT_STRETCH=1 to enable")
-def test_stretch_n6_counts():
-    assert count_qr_matrices(6) == 1900544
-    assert count_qr_classes(6) == 3360
-    assert count_symmetric_classes(6) == 156
-    assert count_skew_classes(6) == 56

@@ -4,6 +4,8 @@ import json
 import pytest
 
 from resmat.cli import MatrixParseError, main, parse_matrix_text
+from resmat.matrices import COUNT_MAX_N
+from resmat.rational import MR_LIMIT
 
 QR_TEXT = "0 -1 1\n1 0 -1\n1 -1 0\n"
 NON_QR_TEXT = "0 -1 -1\n-1 0 -1\n1 1 0\n"
@@ -162,23 +164,19 @@ class TestCount:
         }
 
     def test_out_of_range_exit_2(self, capsys):
-        code, _, err = run_cli(capsys, ["count", "--n", "7"])
-        assert code == 2
+        for n in (1, COUNT_MAX_N + 1):
+            code, out, err = run_cli(capsys, ["count", "--n", str(n)])
+            assert code == 2 and out == ""
+            assert err == f"error: --n must be in 2..{COUNT_MAX_N}, got {n}\n"
 
-    def test_threads_flag_accepted(self, capsys):
-        code, out, _ = run_cli(capsys, ["--threads", "4", "count", "--n", "3"])
-        assert code == 0 and out.strip() == "40"
-
-    def test_threads_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESMAT_THREADS", "3")
-        code, out, _ = run_cli(capsys, ["count", "--n", "3"])
-        assert code == 0 and out.strip() == "40"
-
-    def test_malformed_threads_env_exit_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("RESMAT_THREADS", "x")
-        code, out, err = run_cli(capsys, ["count", "--n", "3"])
-        assert code == 2 and out == ""
-        assert err == "error: RESMAT_THREADS must be an integer, got 'x'\n"
+    def test_largest_n(self, capsys):
+        for kind in ("qr", "symmetric", "skew"):
+            code, out, err = run_cli(
+                capsys,
+                ["count", "--n", str(COUNT_MAX_N), "--kind", kind, "--classes"],
+            )
+            assert code == 0 and err == ""
+            assert int(out) > 0
 
 
 class TestFreq:
@@ -232,6 +230,14 @@ class TestSymbol:
         )
         assert code == 2
 
+    def test_legendre_beyond_primality_bound_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["symbol", "--kind", "legendre", "--num", "2", "--den", str(MR_LIMIT)],
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: is_prime is exact only below")
+
     def test_jacobi(self, capsys):
         code, out, _ = run_cli(
             capsys, ["symbol", "--kind", "jacobi", "--num", "7", "--den", "15"]
@@ -284,6 +290,11 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    def test_removed_threads_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", "4", "count", "--n", "3"])
         assert exc.value.code == 2
 
     def test_no_command(self, capsys):

@@ -1,4 +1,5 @@
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from resmat.errors import UnsupportedDimensionError
 from resmat.matrices import (
+    COUNT_MAX_N,
     SignMatrix,
     canonical_form,
     compose,
@@ -15,6 +17,7 @@ from resmat.matrices import (
     equivalence_classes,
     identity_perm,
     inverse_perm,
+    orbit_class_count,
 )
 
 
@@ -167,15 +170,25 @@ class TestEquivalenceClasses:
         assert sum(c for _, c in classes) == 64
 
 
+# Symmetric classes are graphs (OEIS A000088), skew classes tournaments
+# (OEIS A000568); n = 1..10.
+GRAPHS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168)
+TOURNAMENTS = (1, 1, 2, 4, 12, 56, 456, 6880, 191536, 9733056)
+
+
 class TestClassCounts:
-    # known class counts: symmetric 2,4,11,34 and skew 1,2,4,12 for n = 2..5
-    @pytest.mark.parametrize("n,expected", [(2, 2), (3, 4), (4, 11), (5, 34)])
+    @pytest.mark.parametrize("n,expected", enumerate(GRAPHS, start=1))
     def test_symmetric(self, n, expected):
         assert count_symmetric_classes(n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(2, 1), (3, 2), (4, 4), (5, 12)])
+    @pytest.mark.parametrize("n,expected", enumerate(TOURNAMENTS, start=1))
     def test_skew(self, n, expected):
         assert count_skew_classes(n) == expected
+
+    def test_cycle_type_sizes_sum_to_n_factorial(self):
+        # one class exactly when every permutation fixes one member
+        for n in range(1, COUNT_MAX_N + 1):
+            assert orbit_class_count(n, lambda cycles: 1) == 1
 
     def test_matches_object_level_partition(self):
         symmetric = [m for m in sign_matrices(4) if m.is_symmetric()]
@@ -183,4 +196,13 @@ class TestClassCounts:
 
     def test_out_of_range(self):
         with pytest.raises(UnsupportedDimensionError):
-            count_symmetric_classes(9)
+            count_symmetric_classes(COUNT_MAX_N + 1)
+        with pytest.raises(UnsupportedDimensionError):
+            count_skew_classes(0)
+
+    def test_largest_n(self):
+        n = COUNT_MAX_N
+        members = 1 << (n * (n - 1) // 2)
+        for count in (count_symmetric_classes(n), count_skew_classes(n)):
+            # a class holds between 1 and n! members
+            assert members <= count * factorial(n) and count <= members

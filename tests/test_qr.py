@@ -1,17 +1,26 @@
 import itertools
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resmat.errors import NotAResidueMatrixError, UnsupportedDimensionError
-from resmat.matrices import SignMatrix, conjugate
+from resmat.matrices import (
+    COUNT_MAX_N,
+    SignMatrix,
+    conjugate,
+    equivalence_classes,
+    fixed_skew,
+    fixed_symmetric,
+)
 from resmat.qr import (
     ConfigGraph,
     block_form,
     count_qr_classes,
     count_qr_matrices,
     enumerate_config_graphs,
+    fixed_qr,
     from_config_graph,
     is_qr_matrix,
     jacobi_matrix,
@@ -211,6 +220,28 @@ class TestJacobiMatrix:
         assert is_qr_matrix(jacobi_matrix(values)).verdict
 
 
+def cycle_type_representatives(n):
+    """One permutation of range(n) per cycle type, keyed by the sorted lengths."""
+    reps = {}
+    for sigma in itertools.permutations(range(n)):
+        seen, lengths = set(), []
+        for start in range(n):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = sigma[i]
+                length += 1
+            if length:
+                lengths.append(length)
+        reps.setdefault(tuple(sorted(lengths, reverse=True)), sigma)
+    return reps
+
+
+def is_skew(mat):
+    s = mat.signs()
+    return all(s[i][j] == -s[j][i] for i in range(mat.n) for j in range(i))
+
+
 class TestCounts:
     @pytest.mark.parametrize(
         "n,expected", [(2, 4), (3, 40), (4, 768), (5, 27648)]
@@ -218,19 +249,40 @@ class TestCounts:
     def test_matrix_counts(self, n, expected):
         assert count_qr_matrices(n) == expected
 
-    @pytest.mark.parametrize("n,expected", [(2, 3), (3, 10), (4, 47)])
+    @pytest.mark.parametrize(
+        "n,expected", [(2, 3), (3, 10), (4, 47), (7, 59744), (8, 1851578)]
+    )
     def test_class_counts(self, n, expected):
         assert count_qr_classes(n) == expected
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fixed_counts_match_brute_force(self, n):
+        mats = list(sign_matrices(n))
+        for cycles, sigma in cycle_type_representatives(n).items():
+            fixed = [m for m in mats if conjugate(m, sigma) == m]
+            assert fixed_qr(cycles) == sum(is_qr_matrix(m).verdict for m in fixed)
+            assert fixed_symmetric(cycles) == sum(m.is_symmetric() for m in fixed)
+            assert fixed_skew(cycles) == sum(is_skew(m) for m in fixed)
+
     def test_matrix_count_matches_direct_filter(self):
-        direct = sum(1 for m in sign_matrices(3) if is_qr_matrix(m).verdict)
-        assert count_qr_matrices(3) == direct
+        for n in (2, 3, 4):
+            members = [m for m in sign_matrices(n) if is_qr_matrix(m).verdict]
+            assert count_qr_matrices(n) == len(members)
+            assert count_qr_classes(n) == len(equivalence_classes(members))
 
     def test_out_of_range(self):
         with pytest.raises(UnsupportedDimensionError):
-            count_qr_matrices(7)
+            count_qr_matrices(COUNT_MAX_N + 1)
+        with pytest.raises(UnsupportedDimensionError):
+            count_qr_classes(COUNT_MAX_N + 1)
         with pytest.raises(UnsupportedDimensionError):
             count_qr_classes(1)
+
+    def test_largest_n(self):
+        n = COUNT_MAX_N
+        members, classes = count_qr_matrices(n), count_qr_classes(n)
+        # a class holds between 1 and n! members
+        assert members <= classes * factorial(n) and classes <= members
 
 
 class TestClosure:

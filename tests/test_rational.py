@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from resmat.errors import SearchExhaustedError
 from resmat.rational import (
+    MR_LIMIT,
     crt,
     is_prime,
     jacobi,
@@ -52,6 +53,39 @@ class TestSieve:
     def test_prime_count_at_scan_limit(self):
         # 163841 is the largest prime admitted by the pqr <= 2457615 scan
         assert len(sieve_primes(163841)) == len(trial_division_primes(163841))
+
+
+class TestIsPrime:
+    def test_matches_sieve(self):
+        primes = set(sieve_primes(10**5))
+        assert [n for n in range(10**5 + 1) if is_prime(n)] == sorted(primes)
+
+    @pytest.mark.parametrize(
+        "n",
+        # psi_1 .. psi_11 (psi_7 = psi_8, psi_9 = psi_10 = psi_11): the least
+        # strong pseudoprimes to the first k prime bases
+        [
+            2047,
+            1373653,
+            25326001,
+            3215031751,
+            2152302898747,
+            3474749660383,
+            341550071728321,
+            3825123056546413051,
+        ],
+    )
+    def test_rejects_strong_pseudoprimes(self, n):
+        assert not is_prime(n)
+
+    def test_limit_is_psi_12(self):
+        # psi_12 is composite and passes all twelve bases, so it must raise
+        assert MR_LIMIT == 399165290221 * 798330580441
+        assert is_prime(MR_LIMIT - 1) is False  # even, and inside the bound
+        with pytest.raises(ValueError):
+            is_prime(MR_LIMIT)
+        with pytest.raises(ValueError):
+            is_prime(10**25)
 
 
 class TestLegendre:
