@@ -7,9 +7,7 @@ Exit codes: 0 success/member, 1 non-member, 2 parse or usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from decimal import ROUND_HALF_EVEN, Decimal
 
 from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
@@ -86,6 +84,12 @@ def _perm_1based(perm):
     return [p + 1 for p in perm]
 
 
+def _print_json(payload):
+    import json  # imported here so that runs without --json do not load it
+
+    print(json.dumps(payload, sort_keys=True))
+
+
 def cmd_check(args):
     matrix = _read_matrix(args.file, args.m)
     if args.m == 2:
@@ -111,7 +115,7 @@ def cmd_check(args):
             "perm": _perm_1based(perm) if perm else None,
         }
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"verdict: {'yes' if payload['verdict'] else 'no'}")
         if payload.get("s") is not None:
@@ -124,6 +128,8 @@ def cmd_check(args):
 
 
 def cmd_witness(args):
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     matrix = _read_matrix(args.file, args.m)
     if args.m == 2:
         limit = args.limit if args.limit is not None else qr.DEFAULT_PRIME_LIMIT
@@ -168,22 +174,16 @@ def cmd_count(args):
             matrices.count_skew_classes(n) if args.classes else 1 << (n * (n - 1) // 2)
         )
     if args.json:
-        print(
-            json.dumps(
-                {"n": n, "kind": args.kind, "classes": args.classes, "count": value},
-                sort_keys=True,
-            )
-        )
+        _print_json({"n": n, "kind": args.kind, "classes": args.classes, "count": value})
     else:
         print(value)
     return 0
 
 
 def _format_freq(frac):
-    if frac.denominator == 1 and frac.numerator == 0:
-        return "0.000000"
-    d = Decimal(frac.numerator) / Decimal(frac.denominator)
-    return str(d.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+    """A fraction in [0, 1] to six decimal places, ties rounded to even."""
+    q = round(frac * 10**6)  # Fraction.__round__ is exact and rounds half to even
+    return f"{q // 10**6}.{q % 10**6:06d}"
 
 
 def cmd_freq(args):
@@ -204,7 +204,7 @@ def cmd_freq(args):
                 for i in range(len(report.counts))
             ],
         }
-        print(json.dumps(payload, sort_keys=True))
+        _print_json(payload)
         return 0
     for i, (count, frac) in enumerate(zip(report.counts, freqs), start=1):
         if args.exact:

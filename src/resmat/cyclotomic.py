@@ -9,19 +9,23 @@ denoting w**e, a quartic symbol an exponent in {0,1,2,3} denoting i**e.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import RamifiedPrimeError
-from .rational import is_prime
+from .rational import MR_LIMIT, is_prime
+from .records import Record, setfield
 
 
-@dataclass(frozen=True)
-class GaussianInt:
+class GaussianInt(Record):
     """a + b*i in Z[i]."""
 
+    __slots__ = ("a", "b")
     a: int
     b: int
+
+    def __init__(self, a, b):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
 
     def __add__(self, other):
         return GaussianInt(self.a + other.a, self.b + other.b)
@@ -67,12 +71,16 @@ class GaussianInt:
         return _format_element(self.a, self.b, "i")
 
 
-@dataclass(frozen=True)
-class EisensteinInt:
+class EisensteinInt(Record):
     """a + b*w in Z[w], with w**2 + w + 1 = 0."""
 
+    __slots__ = ("a", "b")
     a: int
     b: int
+
+    def __init__(self, a, b):
+        setfield(self, "a", a)
+        setfield(self, "b", b)
 
     def __add__(self, other):
         return EisensteinInt(self.a + other.a, self.b + other.b)
@@ -229,11 +237,18 @@ def is_prime_element(x):
     """Whether x is a prime element of its ring.
 
     True iff norm(x) is a rational prime, or x is a unit multiple of an inert
-    rational prime (p = 3 mod 4 for Z[i], p = 2 mod 3 for Z[w]).
+    rational prime (p = 3 mod 4 for Z[i], p = 2 mod 3 for Z[w]).  Raises
+    ValueError when norm(x) >= rational.MR_LIMIT, where is_prime is not exact.
     """
     if x.is_zero() or x.is_unit():
         raise ValueError(f"zero or unit is neither prime nor composite: {x}")
     n = x.norm()
+    if n >= MR_LIMIT:
+        # is_prime(n) would raise too, but its message shows n, not x
+        raise ValueError(
+            f"cannot decide whether {x} is prime: is_prime is exact only for "
+            f"norms below {MR_LIMIT}"
+        )
     if is_prime(n):
         return True
     r, mdl = _inert_class(x)
@@ -295,7 +310,7 @@ def _residue_symbol(x, q, m):
     for e in range(m):
         if divides(q, r - q.root_of_unity(e)):
             return e
-    raise AssertionError(
+    raise RuntimeError(
         f"power of {x} mod {q} is not a root of unity; invalid input slipped through"
     )
 

@@ -4,43 +4,52 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .matrices import SignMatrix, canonical_form
 from .qr import is_qr_matrix, qr_matrix_from_primes
 from .rational import is_prime, legendre, sieve_primes
+from .records import Record, setfield
 
 NUM_CLASSES = 10
 
 MIN_PRODUCT_BOUND = 105  # 3 * 5 * 7, the smallest admissible triple product
 
 
-@dataclass(frozen=True)
-class ConfigClass:
+class ConfigClass(Record):
     """One of the 10 splitting-configuration types of a prime triple.
 
     class_id is the 1-based index in ascending canonical-form order.
     """
 
+    __slots__ = ("class_id", "representative")
     class_id: int
     representative: SignMatrix
 
+    def __init__(self, class_id, representative):
+        setfield(self, "class_id", class_id)
+        setfield(self, "representative", representative)
 
-@dataclass(frozen=True)
-class FrequencyReport:
+
+class FrequencyReport(Record):
     """Per-class counts and frequencies, indexed by class_id - 1.
 
     Frequencies are exact rationals: counts[i] / total.
     """
 
+    __slots__ = ("counts", "total")
     counts: tuple[int, ...]
     total: int
 
+    def __init__(self, counts, total):
+        setfield(self, "counts", counts)
+        setfield(self, "total", total)
+
     @property
     def frequencies(self):
+        from fractions import Fraction  # only callers of this property pay its import
+
         if self.total == 0:
             return tuple(Fraction(0) for _ in self.counts)
         return tuple(Fraction(c, self.total) for c in self.counts)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cyclotomic import (
     EisensteinInt,
     GaussianInt,
@@ -19,22 +17,29 @@ from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import SignMatrix
 from .qr import _block_decomposition, split_size
 from .rational import is_prime, sqrt_mod
+from .records import Record, setfield
 
 DEFAULT_NORM_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class QuarticDecision:
+class QuarticDecision(Record):
     """Membership verdict for quartic sign matrices.
 
     pairwise_ok records the m_jk = +-m_kj condition; diag is the diagonal of
     M * conj(M) (real parts, each off-term +-1 when pairwise_ok holds).
     """
 
+    __slots__ = ("verdict", "s", "pairwise_ok", "diag")
     verdict: bool
     s: int | None
     pairwise_ok: bool
     diag: tuple[int, ...]
+
+    def __init__(self, verdict, s, pairwise_ok, diag):
+        setfield(self, "verdict", verdict)
+        setfield(self, "s", s)
+        setfield(self, "pairwise_ok", pairwise_ok)
+        setfield(self, "diag", diag)
 
 
 def _validate_primary_primes(primes, ring):

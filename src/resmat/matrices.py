@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import factorial, gcd
 
 from .errors import UnsupportedDimensionError
+from .records import Record, setfield
 
 # The zero diagonal entry.  Off-diagonal entries are ints in [0, m).
 ZERO = None
@@ -31,18 +31,20 @@ def _entry_key(e):
     return -1 if e is None else e
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(Record):
     """n x n matrix with zero diagonal and m-th roots of unity elsewhere.
 
     m = 2 gives ordinary sign matrices (exponent 0 is +1, exponent 1 is -1);
     m = 3 and m = 4 give the cubic and quartic "cyclotomic" variants.
     """
 
+    __slots__ = ("m", "entries")
     m: int
     entries: tuple[tuple[int | None, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, m, entries):
+        setfield(self, "m", m)
+        setfield(self, "entries", entries)
         if self.m not in (2, 3, 4):
             raise ValueError(f"modulus must be 2, 3 or 4, got {self.m}")
         n = len(self.entries)
@@ -124,8 +126,7 @@ class SignMatrix:
         return tuple(_entry_key(e) for row in self.entries for e in row)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(Record):
     """A permutation and split size realizing the skew/symmetric block form.
 
     Applying ``perm`` to the source matrix puts the s skew-block indices
@@ -133,8 +134,13 @@ class BlockDecomposition:
     an (n-s) x (n-s) symmetric lower-right block.
     """
 
+    __slots__ = ("perm", "s")
     perm: tuple[int, ...]
     s: int
+
+    def __init__(self, perm, s):
+        setfield(self, "perm", perm)
+        setfield(self, "s", s)
 
 
 # Permutations are tuples of 0-based images: sigma[i] is the image of i.

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import (
@@ -19,23 +18,29 @@ from .matrices import (
     pair_orbit_count,
 )
 from .rational import is_prime, jacobi, legendre
+from .records import Record, setfield
 
 COUNT_MIN_N = 2
 # Default prime bound of the m=2 witness search in the command line.
 DEFAULT_PRIME_LIMIT = 10**7
 
 
-@dataclass(frozen=True)
-class QrDecision:
+class QrDecision(Record):
     """Membership verdict for the squared-diagonal criterion.
 
     diag holds the diagonal of M^2 over the integers; s is the valid split
     size (smallest when several match) and is None for non-members.
     """
 
+    __slots__ = ("verdict", "s", "diag")
     verdict: bool
     s: int | None
     diag: tuple[int, ...]
+
+    def __init__(self, verdict, s, diag):
+        setfield(self, "verdict", verdict)
+        setfield(self, "s", s)
+        setfield(self, "diag", diag)
 
 
 def qr_matrix_from_primes(primes):
@@ -206,8 +211,7 @@ def count_qr_classes(n):
 # --- graph encoding of QR matrices ---
 
 
-@dataclass(frozen=True)
-class ConfigGraph:
+class ConfigGraph(Record):
     """Partially-directed edge-labeled graph encoding a QR matrix.
 
     Vertices 0..n-1 are colored red (skew block: primes = 3 mod 4) or blue.
@@ -217,12 +221,17 @@ class ConfigGraph:
     single red vertex 0 (the designated skew index of a symmetric matrix).
     """
 
+    __slots__ = ("n", "red", "directed", "labels")
     n: int
     red: frozenset[int]
     directed: frozenset[tuple[int, int]]
     labels: tuple[tuple[tuple[int, int], int], ...]
 
-    def __post_init__(self):
+    def __init__(self, n, red, directed, labels):
+        setfield(self, "n", n)
+        setfield(self, "red", red)
+        setfield(self, "directed", directed)
+        setfield(self, "labels", labels)
         if not self.red or not self.red <= set(range(self.n)):
             raise ValueError("red set must be a nonempty subset of the vertices")
         if len(self.red) == 1 and self.red != {0}:

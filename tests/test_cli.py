@@ -1,9 +1,12 @@
 import io
 import json
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 
-from resmat.cli import MatrixParseError, main, parse_matrix_text
+from resmat.cli import MatrixParseError, _format_freq, main, parse_matrix_text
 from resmat.matrices import COUNT_MAX_N
 from resmat.rational import MR_LIMIT
 
@@ -123,6 +126,20 @@ class TestWitness:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("m, text", [(2, QR_TEXT), (3, CUBIC_TEXT), (4, QUARTIC_TEXT)])
+    @pytest.mark.parametrize("limit", ["0", "-5"])
+    def test_limit_below_one_exit_2(self, capsys, m, text, limit):
+        code, out, err = run_cli(
+            capsys, ["witness", "--m", str(m), "--limit", limit], stdin=text
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --limit must be at least 1, got {limit}\n"
+
+    def test_limit_one_is_a_search_bound(self, capsys):
+        code, out, err = run_cli(capsys, ["witness", "--limit", "1"], stdin=QR_TEXT)
+        assert code == 3 and out == ""
+        assert err == "error: no prime <= 1 realizes column 1\n"
+
     def test_cubic(self, capsys):
         code, out, _ = run_cli(capsys, ["witness", "--m", "3"], stdin=CUBIC_TEXT)
         assert code == 0
@@ -207,6 +224,35 @@ class TestFreq:
             num, den = c["frequency"]
             assert num * payload["total"] == c["count"] * den
 
+    def test_format_freq_examples(self):
+        assert _format_freq(Fraction(0)) == "0.000000"
+        assert _format_freq(Fraction(1)) == "1.000000"
+        assert _format_freq(Fraction(1, 3)) == "0.333333"
+        assert _format_freq(Fraction(2, 3)) == "0.666667"
+        assert _format_freq(Fraction(1, 2_000_000)) == "0.000000"  # tie, to even
+        assert _format_freq(Fraction(3, 2_000_000)) == "0.000002"  # tie, to even
+
+    def test_format_freq_matches_decimal_half_even(self):
+        def oracle(frac):
+            # 60 digits hold c/t exactly enough for t < 10^12: a quotient
+            # that is no tie lies at least 1/(2*10^6*t) from one
+            with localcontext() as ctx:
+                ctx.prec = 60
+                d = Decimal(frac.numerator) / Decimal(frac.denominator)
+                return str(d.quantize(Decimal("0.000001"), rounding=ROUND_HALF_EVEN))
+
+        # exact ties k + 1/2 millionths, and the fractions around them
+        fracs = [Fraction(2 * k + 1, 2_000_000) for k in range(1000)]
+        fracs += [Fraction(2 * k + 1, 2_000_000) for k in range(999_000, 1_000_000)]
+        fracs += [f + Fraction(s, 10**11) for f in fracs[:50] for s in (-1, 1)]
+        fracs += [Fraction(0), Fraction(1)]
+        rng = random.Random(4)
+        for _ in range(5000):
+            t = rng.randrange(1, 10**10)
+            fracs.append(Fraction(rng.randrange(t + 1), t))
+        fracs += [Fraction(c, t) for t in range(1, 300) for c in range(t + 1)]
+        assert [_format_freq(f) for f in fracs] == [oracle(f) for f in fracs]
+
     def test_requires_mode(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["freq"])
@@ -237,6 +283,21 @@ class TestSymbol:
         )
         assert code == 2 and out == ""
         assert err.startswith("error: is_prime is exact only below")
+
+    @pytest.mark.parametrize("kind", ["cubic", "quartic"])
+    def test_operand_norm_beyond_primality_bound_names_operand(self, capsys, kind):
+        den = 600_000_000_001  # its norm, den^2, is above MR_LIMIT
+        assert den < MR_LIMIT <= den * den
+        for extra in ([], ["--primary"]):
+            code, out, err = run_cli(
+                capsys,
+                ["symbol", "--kind", kind, "--num", "2", "--den", str(den)] + extra,
+            )
+            assert code == 2 and out == ""
+            assert err == (
+                f"error: cannot decide whether {den} is prime: is_prime is exact "
+                f"only for norms below {MR_LIMIT}\n"
+            )
 
     def test_jacobi(self, capsys):
         code, out, _ = run_cli(

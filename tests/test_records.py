@@ -1,0 +1,117 @@
+"""The package's frozen value records: equality, hashing, repr, immutability."""
+
+import pickle
+
+import pytest
+
+from resmat.cyclotomic import EisensteinInt, GaussianInt
+from resmat.frequencies import ConfigClass, FrequencyReport
+from resmat.higher import QuarticDecision
+from resmat.matrices import BlockDecomposition, SignMatrix
+from resmat.qr import ConfigGraph, QrDecision
+
+M2 = SignMatrix(2, ((None, 0), (1, None)))
+M2_REPR = "SignMatrix(m=2, entries=((None, 0), (1, None)))"
+
+# (class, keyword fields, a different instance, the repr a frozen dataclass
+# with these fields prints)
+CASES = [
+    (GaussianInt, {"a": 1, "b": 2}, GaussianInt(2, 1), "GaussianInt(a=1, b=2)"),
+    (EisensteinInt, {"a": 1, "b": 2}, EisensteinInt(1, 3), "EisensteinInt(a=1, b=2)"),
+    (
+        SignMatrix,
+        {"m": 2, "entries": ((None, 0), (1, None))},
+        SignMatrix(2, ((None, 0), (0, None))),
+        M2_REPR,
+    ),
+    (
+        BlockDecomposition,
+        {"perm": (1, 0, 2), "s": 2},
+        BlockDecomposition((1, 0, 2), 1),
+        "BlockDecomposition(perm=(1, 0, 2), s=2)",
+    ),
+    (
+        QrDecision,
+        {"verdict": True, "s": 2, "diag": (0, 0, 2)},
+        QrDecision(False, None, (0, 0, 2)),
+        "QrDecision(verdict=True, s=2, diag=(0, 0, 2))",
+    ),
+    (
+        ConfigGraph,
+        {"n": 2, "red": frozenset({0, 1}), "directed": frozenset({(0, 1)}), "labels": ()},
+        ConfigGraph(2, frozenset({0, 1}), frozenset({(1, 0)}), ()),
+        "ConfigGraph(n=2, red=frozenset({0, 1}), directed=frozenset({(0, 1)}), labels=())",
+    ),
+    (
+        QuarticDecision,
+        {"verdict": True, "s": 2, "pairwise_ok": True, "diag": (0, 0)},
+        QuarticDecision(False, None, False, (0, 0)),
+        "QuarticDecision(verdict=True, s=2, pairwise_ok=True, diag=(0, 0))",
+    ),
+    (
+        ConfigClass,
+        {"class_id": 1, "representative": M2},
+        ConfigClass(2, M2),
+        f"ConfigClass(class_id=1, representative={M2_REPR})",
+    ),
+    (
+        FrequencyReport,
+        {"counts": (1, 2), "total": 3},
+        FrequencyReport((2, 1), 3),
+        "FrequencyReport(counts=(1, 2), total=3)",
+    ),
+]
+
+each_record = pytest.mark.parametrize(
+    "cls, fields, other, text", CASES, ids=[case[0].__name__ for case in CASES]
+)
+
+
+@each_record
+def test_keyword_and_positional_construction_agree(cls, fields, other, text):
+    by_keyword = cls(**fields)
+    by_position = cls(*fields.values())
+    assert by_keyword == by_position
+    assert [getattr(by_keyword, name) for name in fields] == list(fields.values())
+
+
+@each_record
+def test_equality_and_hash(cls, fields, other, text):
+    x, y = cls(**fields), cls(**fields)
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert len({x, y, other}) == 2
+    assert x != other and not x == other
+    assert x != object() and x != tuple(fields.values())
+
+
+@each_record
+def test_repr_matches_dataclass(cls, fields, other, text):
+    assert repr(cls(**fields)) == text
+
+
+@each_record
+def test_assignment_and_deletion_raise(cls, fields, other, text):
+    x = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+    assert x == cls(**fields)
+
+
+@each_record
+def test_pickle_round_trip(cls, fields, other, text):
+    x = cls(**fields)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        y = pickle.loads(pickle.dumps(x, protocol))
+        assert type(y) is cls and y == x and hash(y) == hash(x)
+
+
+def test_equal_fields_in_another_class_differ():
+    assert GaussianInt(1, 2) != EisensteinInt(1, 2)
+    assert not GaussianInt(1, 2) == EisensteinInt(1, 2)
+    assert BlockDecomposition((0, 1), 1) != ConfigClass((0, 1), 1)
