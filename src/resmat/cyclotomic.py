@@ -237,25 +237,28 @@ def is_prime_element(x):
     """Whether x is a prime element of its ring.
 
     True iff norm(x) is a rational prime, or x is a unit multiple of an inert
-    rational prime (p = 3 mod 4 for Z[i], p = 2 mod 3 for Z[w]).  Raises
-    ValueError when norm(x) >= rational.MR_LIMIT, where is_prime is not exact.
+    rational prime (p = 3 mod 4 for Z[i], p = 2 mod 3 for Z[w]).  The second
+    case needs is_prime(p) only, so p may be as large as is_prime allows.
+    Raises ValueError when the number to test reaches rational.MR_LIMIT, where
+    is_prime is not exact.
     """
     if x.is_zero() or x.is_unit():
         raise ValueError(f"zero or unit is neither prime nor composite: {x}")
     n = x.norm()
+    p = isqrt(n)
+    r, mdl = _inert_class(x)
+    if p * p == n and p % mdl == r % mdl:
+        # A square norm is never prime, so x is prime only if it is a unit
+        # times an inert prime p; an element of norm p^2 is one exactly when
+        # p is prime (if the inert p divides x * conj(x), it divides x).
+        n = p
     if n >= MR_LIMIT:
         # is_prime(n) would raise too, but its message shows n, not x
         raise ValueError(
             f"cannot decide whether {x} is prime: is_prime is exact only for "
             f"norms below {MR_LIMIT}"
         )
-    if is_prime(n):
-        return True
-    r, mdl = _inert_class(x)
-    p = isqrt(n)
-    if p * p != n or not is_prime(p) or p % mdl != r % mdl:
-        return False
-    return x.a % p == 0 and x.b % p == 0
+    return is_prime(n)
 
 
 def is_primary(x):

@@ -16,9 +16,13 @@ class RamifiedPrimeError(ValueError):
 class SearchExhaustedError(RuntimeError):
     """A bounded deterministic search ran out of candidates.
 
-    Carries enough context to report which progression or norm scan failed.
+    Carries enough context to report which progression or norm scan failed:
+    the search bound, and for a witness search the 1-based column that
+    failed and the number of candidates examined for it.
     """
 
-    def __init__(self, message, *, limit=None):
+    def __init__(self, message, *, limit=None, column=None, tried=None):
         super().__init__(message)
         self.limit = limit
+        self.column = column
+        self.tried = tried

@@ -174,7 +174,9 @@ def _scan_witnesses(matrix, kind, norm_limit, class_filter=None):
     chosen = []
     symbol = cubic_symbol if kind == "eisenstein" else quartic_symbol
     for k in range(n):
+        tried = 0
         for cand in _degree_one_primary_primes(kind, norm_limit):
+            tried += 1
             if any(same_ideal(cand, q) for q in chosen):
                 continue
             if class_filter is not None and not class_filter(k, cand):
@@ -191,6 +193,8 @@ def _scan_witnesses(matrix, kind, norm_limit, class_filter=None):
             raise SearchExhaustedError(
                 f"no prime of norm <= {norm_limit} realizes column {k + 1}",
                 limit=norm_limit,
+                column=k + 1,
+                tried=tried,
             )
     return chosen
 

@@ -17,7 +17,7 @@ from .matrices import (
     orbit_class_count,
     pair_orbit_count,
 )
-from .rational import is_prime, jacobi, legendre
+from .rational import is_prime, jacobi, legendre, odd_prime_flags
 from .records import Record, setfield
 
 COUNT_MIN_N = 2
@@ -116,36 +116,61 @@ def _block_decomposition(diag, s):
     return BlockDecomposition(tuple(skew + rest), s)
 
 
+# First sieve bound of the m=2 witness search; it doubles up to the limit.
+_SIEVE_START = 4096
+
+
 def witness_primes(matrix, limit):
     """Distinct odd primes whose QR matrix equals the input exactly.
 
     Follows the constructive induction: column by column, take the smallest
-    odd prime (deterministic) in the required mod-4 class whose Legendre
-    symbols against all earlier primes match the matrix in both directions.
+    odd prime in the required mod-4 class (3 on the skew block, 1 elsewhere)
+    whose Legendre symbols against all earlier primes match the matrix.
     Each column condition is a union of CRT progressions modulo 4 and the
     earlier primes, so qualifying primes exist by Dirichlet's theorem.
+
+    The candidates are the primes of one class in ascending order, read off
+    an odd-only sieve that starts at 4096 and doubles up to limit when a
+    column runs past it.  Only the symbols (p / p_j) are tested: by quadratic
+    reciprocity (p / p_j)(p_j / p) = -1 exactly when p and p_j are both
+    3 mod 4, which is what the block form asks of M[j][k] against M[k][j],
+    so the reverse symbols follow from the classes.
     """
     bd = block_form(matrix)
     skew = set(bd.perm[: bd.s])
     signs = matrix.signs()
     primes = []
+    bound = min(_SIEVE_START, limit)
+    flags = odd_prime_flags(bound)
     for k in range(matrix.n):
-        target = 3 if k in skew else 1
-        p = 1
-        while True:
-            p += 2
-            if p > limit:
-                raise SearchExhaustedError(
-                    f"no prime <= {limit} realizes column {k + 1}", limit=limit
-                )
-            if p % 4 != target or p in primes or not is_prime(p):
-                continue
-            if all(
-                legendre(p, pj) == signs[k][j] and legendre(pj, p) == signs[j][k]
-                for j, pj in enumerate(primes)
-            ):
-                break
-        primes.append(p)
+        row = signs[k]
+        start = 3 if k in skew else 1
+        tried = 0
+        found = None
+        while found is None:
+            # an earlier prime is skipped too: its symbol against itself is 0
+            candidates = itertools.compress(
+                range(start, bound + 1, 4), memoryview(flags)[start // 2 :: 2]
+            )
+            for p in candidates:
+                tried += 1
+                if all(legendre(p, pj) == row[j] for j, pj in enumerate(primes)):
+                    found = p
+                    break
+            else:
+                if bound == limit:
+                    raise SearchExhaustedError(
+                        f"no prime <= {limit} realizes column {k + 1}",
+                        limit=limit,
+                        column=k + 1,
+                        tried=tried,
+                    )
+                start += 4 * len(range(start, bound + 1, 4))
+                bound = min(2 * bound, limit)
+                flags = odd_prime_flags(bound)
+        primes.append(found)
+    # checks every symbol in both directions, so it also guards the
+    # reciprocity shortcut above
     if qr_matrix_from_primes(primes) != matrix:
         raise RuntimeError(f"witness primes {primes} do not reproduce the matrix")
     return primes

@@ -46,16 +46,31 @@ def is_prime(n):
     return True
 
 
+def odd_prime_flags(bound):
+    """Odd-only Eratosthenes sieve: flags[i] == 1 exactly when 2i+1 <= bound is prime.
+
+    The result has one byte per odd number 1, 3, ..., <= bound, so it is
+    empty for bound 0 and [0] for bound 1 and 2.
+    """
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
+    size = (bound + 1) // 2
+    flags = bytearray([1]) * size
+    if size:
+        flags[0] = 0  # 1 is not prime
+    for i in range(1, (isqrt(bound) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, size, p)))
+    return flags
+
+
 def sieve_primes(bound):
-    """All primes <= bound, ascending (simple Eratosthenes sieve)."""
+    """All primes <= bound, ascending (2 followed by the odd_prime_flags sieve)."""
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
-    return list(compress(range(bound + 1), sieve))
+    return [2, *compress(range(1, bound + 1, 2), odd_prime_flags(bound))]
 
 
 def legendre(a, p):

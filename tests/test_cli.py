@@ -299,6 +299,17 @@ class TestSymbol:
                 f"only for norms below {MR_LIMIT}\n"
             )
 
+    @pytest.mark.parametrize(
+        "kind, den", [("quartic", "-564504967151"), ("cubic", "-564504967223")]
+    )
+    def test_inert_prime_with_norm_beyond_primality_bound(self, capsys, kind, den):
+        p = -int(den)  # prime, 3 mod 4 resp. 2 mod 3, with p^2 above MR_LIMIT
+        assert p < MR_LIMIT <= p * p
+        code, out, err = run_cli(
+            capsys, ["symbol", "--kind", kind, "--num", "2", "--den", den]
+        )
+        assert (code, out, err) == (0, "1\n", "")
+
     def test_jacobi(self, capsys):
         code, out, _ = run_cli(
             capsys, ["symbol", "--kind", "jacobi", "--num", "7", "--den", "15"]

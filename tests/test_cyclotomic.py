@@ -20,7 +20,7 @@ from resmat.cyclotomic import (
     same_ideal,
 )
 from resmat.errors import RamifiedPrimeError
-from resmat.rational import is_prime, sieve_primes
+from resmat.rational import MR_LIMIT, is_prime, sieve_primes
 
 
 def primary_primes(ring, norm_limit):
@@ -146,6 +146,56 @@ class TestPrimeElements:
             is_prime_element(GaussianInt(0, 0))
         with pytest.raises(ValueError):
             is_prime_element(EisensteinInt(0, 1))
+
+
+def inert_above_bound(ring, want_prime, count=3):
+    """Rational c in the inert class of ring with c^2 >= MR_LIMIT > c."""
+    r, mdl = (3, 4) if ring is GaussianInt else (2, 3)
+    c = isqrt(MR_LIMIT) + 1
+    c += (r - c) % mdl
+    found = []
+    while len(found) < count:
+        if is_prime(c) == want_prime:
+            found.append(c)
+        c += mdl
+    return found
+
+
+RINGS = [(GaussianInt, quartic_symbol, 4), (EisensteinInt, cubic_symbol, 3)]
+
+
+class TestInertPrimesBeyondSquareRootOfBound:
+    # The norm p^2 of an inert p is at or above MR_LIMIT, but deciding
+    # whether the element is prime needs only is_prime(p).
+
+    @pytest.mark.parametrize("ring, symbol, m", RINGS)
+    def test_unit_multiples_are_prime(self, ring, symbol, m):
+        for p in inert_above_bound(ring, True):
+            assert p < MR_LIMIT <= p * p
+            for u in ring(1, 0).units():
+                assert is_prime_element(ring(p, 0) * u)
+
+    @pytest.mark.parametrize("ring, symbol, m", RINGS)
+    def test_composite_inert_class_is_not_prime(self, ring, symbol, m):
+        for c in inert_above_bound(ring, False):
+            assert not is_prime_element(ring(c, 0))
+            assert not is_prime_element(ring(0, c))
+
+    @pytest.mark.parametrize("ring, symbol, m", RINGS)
+    def test_non_square_norm_beyond_bound_still_raises(self, ring, symbol, m):
+        p = inert_above_bound(ring, True, count=1)[0]
+        with pytest.raises(ValueError, match="cannot decide whether"):
+            is_prime_element(ring(p, 1))
+
+    @pytest.mark.parametrize("ring, symbol, m", RINGS)
+    def test_rational_symbol_is_trivial(self, ring, symbol, m):
+        # a^((p^2-1)/m) = (a^(p-1))^((p+1)/m) = 1 mod p for a coprime to p
+        for p in inert_above_bound(ring, True, count=2):
+            q = ring(-p, 0)  # -p = 1 mod 4 resp. mod 3: primary
+            assert is_primary(q) and (p + 1) % m == 0
+            for a in (2, 3, 5, -7, 10**6 + 3):
+                assert pow(a, p - 1, p) == 1
+                assert symbol(ring(a, 0), q) == 0
 
 
 class TestPrimaryGenerator:

@@ -14,6 +14,7 @@ from resmat.higher import (
     quartic_witness,
 )
 from resmat.matrices import SignMatrix, conjugate
+from resmat.rational import is_prime
 
 EIS_FIXTURE = [EisensteinInt(-2, -3), EisensteinInt(4, 3)]
 GAU_FIXTURE = [GaussianInt(-1, 2), GaussianInt(3, 2)]
@@ -183,6 +184,30 @@ class TestWitnesses:
         mat = quartic_matrix(GAU_FIXTURE)
         with pytest.raises(SearchExhaustedError):
             quartic_witness(mat, norm_limit=5)
+
+    @pytest.mark.parametrize("norm_limit", [1, 4, 7, 12])
+    @pytest.mark.parametrize(
+        "witness, mat, modulus",
+        [
+            (cubic_witness, cubic_matrix(EIS_FIXTURE), 3),  # norms 7, 13
+            (quartic_witness, quartic_matrix(GAU_FIXTURE), 4),  # norms 5, 13
+        ],
+    )
+    def test_exhausted_column_and_tried(self, witness, mat, modulus, norm_limit):
+        with pytest.raises(SearchExhaustedError) as got:
+            witness(mat, norm_limit=norm_limit)
+        exc = got.value
+        assert exc.limit == norm_limit
+        assert exc.column == (2 if norm_limit >= 7 else 1)
+        assert str(exc) == (
+            f"no prime of norm <= {norm_limit} realizes column {exc.column}"
+        )
+        # two candidates (conjugate ideals) per split rational prime, and an
+        # exhausted column has examined all of them
+        split = [
+            p for p in range(3, norm_limit + 1) if p % modulus == 1 and is_prime(p)
+        ]
+        assert exc.tried == 2 * len(split)
 
     def test_cubic_roundtrip_random(self):
         rng = random.Random(20260823)

@@ -1,11 +1,20 @@
 import itertools
+import os
+import subprocess
+import sys
 from math import factorial
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resmat.errors import NotAResidueMatrixError, UnsupportedDimensionError
+import resmat
+from resmat.errors import (
+    NotAResidueMatrixError,
+    SearchExhaustedError,
+    UnsupportedDimensionError,
+)
 from resmat.matrices import (
     COUNT_MAX_N,
     SignMatrix,
@@ -30,6 +39,7 @@ from resmat.qr import (
     to_config_graph,
     witness_primes,
 )
+from resmat.rational import is_prime, legendre, sieve_primes
 
 
 def sign_matrices(n):
@@ -186,6 +196,145 @@ class TestWitness:
         a = witness_primes(M_3_7_13, 10**7)
         b = witness_primes(M_3_7_13, 10**7)
         assert a == b
+
+
+def _witness_oracle(matrix, limit):
+    """The direct scan: every odd p <= limit, is_prime, symbols in both directions."""
+    bd = block_form(matrix)
+    skew = set(bd.perm[: bd.s])
+    signs = matrix.signs()
+    primes = []
+    for k in range(matrix.n):
+        target = 3 if k in skew else 1
+        p = 1
+        while True:
+            p += 2
+            if p > limit:
+                raise SearchExhaustedError(
+                    f"no prime <= {limit} realizes column {k + 1}", limit=limit
+                )
+            if p % 4 != target or p in primes or not is_prime(p):
+                continue
+            if all(
+                legendre(p, pj) == signs[k][j] and legendre(pj, p) == signs[j][k]
+                for j, pj in enumerate(primes)
+            ):
+                break
+        primes.append(p)
+    return primes
+
+
+@st.composite
+def admissible_matrices(draw, max_n=10):
+    """A QR matrix: antisymmetric on a random red set, symmetric elsewhere."""
+    n = draw(st.integers(1, max_n))
+    red = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = draw(st.sampled_from((1, -1)))
+            rows[i][j] = v
+            rows[j][i] = -v if red[i] and red[j] else v
+    return SignMatrix.from_signs(rows)
+
+
+# witnesses whose largest prime sits next to the first sieve bound, 4096
+M_4093 = SignMatrix.from_signs([
+    [0, -1, 1, 1, -1, -1, -1, 1, -1],
+    [-1, 0, 1, -1, 1, -1, 1, -1, -1],
+    [1, 1, 0, -1, -1, -1, 1, -1, 1],
+    [1, -1, -1, 0, 1, -1, 1, -1, 1],
+    [-1, 1, -1, 1, 0, 1, -1, -1, 1],
+    [-1, -1, -1, -1, 1, 0, -1, 1, 1],
+    [-1, 1, 1, -1, -1, -1, 0, -1, 1],
+    [1, -1, -1, 1, -1, 1, 1, 0, 1],
+    [-1, -1, 1, 1, 1, 1, 1, 1, 0],
+])
+M_4129 = SignMatrix.from_signs([
+    [0, -1, -1, -1, 1, 1, 1, 1],
+    [-1, 0, -1, 1, -1, -1, -1, 1],
+    [-1, -1, 0, -1, 1, -1, 1, 1],
+    [-1, -1, -1, 0, 1, 1, -1, 1],
+    [1, 1, 1, -1, 0, 1, 1, 1],
+    [1, -1, -1, 1, 1, 0, 1, -1],
+    [1, -1, 1, -1, 1, 1, 0, -1],
+    [1, 1, 1, 1, 1, -1, -1, 0],
+])
+
+ORACLE_LIMITS = (1, 2, 3, 4, 5, 7, 100, 1000, 4095, 4096, 4097, 5000, 10**7)
+
+
+class TestWitnessSieveWalk:
+    def test_fixtures_straddle_first_sieve_bound(self):
+        assert max(witness_primes(M_4093, 10**7)) == 4093
+        assert max(witness_primes(M_4129, 10**7)) == 4129
+
+    @settings(max_examples=200, deadline=None)
+    @given(admissible_matrices(), st.sampled_from(ORACLE_LIMITS))
+    @example(M_3_7_13, 1)
+    @example(M_3_7_13, 2)
+    @example(M_3_7_13, 3)
+    @example(M_3_7_13, 4)
+    @example(M_4093, 4092)
+    @example(M_4093, 4095)
+    @example(M_4093, 4096)
+    @example(M_4093, 4097)
+    @example(M_4129, 4095)
+    @example(M_4129, 4096)
+    @example(M_4129, 4097)
+    @example(M_4129, 4129)
+    @example(M_4129, 10**7)
+    def test_matches_oracle(self, matrix, limit):
+        try:
+            expected = _witness_oracle(matrix, limit)
+        except SearchExhaustedError as exc:
+            with pytest.raises(SearchExhaustedError) as got:
+                witness_primes(matrix, limit)
+            assert str(got.value) == str(exc)
+            assert got.value.limit == limit
+        else:
+            assert witness_primes(matrix, limit) == expected
+
+    @pytest.mark.parametrize(
+        "matrix, limit, column, target",
+        [
+            (M_3_7_13, 1, 1, 3),
+            (M_3_7_13, 4, 2, 3),  # 3 is examined and rejected: it is taken
+            (M_4093, 4092, 9, 1),
+            (M_4129, 4097, 8, 1),  # the walk crosses the first sieve bound
+        ],
+    )
+    def test_exhausted_column_and_tried(self, matrix, limit, column, target):
+        with pytest.raises(SearchExhaustedError) as got:
+            witness_primes(matrix, limit)
+        assert got.value.column == column
+        # an exhausted column has examined every prime of its class
+        assert got.value.tried == len(
+            [p for p in sieve_primes(max(limit, 2)) if p % 4 == target]
+        )
+
+
+def _run_optimized_cli(argv, stdin):
+    env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "resmat.cli", *argv],
+        input=stdin, capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+class TestWitnessOptimized:
+    # python -O strips asserts; the post-condition must survive it
+    def test_verified(self):
+        proc = _run_optimized_cli(["witness"], "0 -1 1\n1 0 -1\n1 -1 0\n")
+        assert proc.returncode == 0
+        assert proc.stdout == "3\n7\n13\nVERIFIED\n"
+
+    def test_exhausted(self):
+        proc = _run_optimized_cli(
+            ["witness", "--limit", "1"], "0 -1 1\n1 0 -1\n1 -1 0\n"
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: no prime <= 1 realizes column 1\n"
 
 
 class TestJacobiMatrix:

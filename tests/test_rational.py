@@ -9,6 +9,7 @@ from resmat.rational import (
     is_prime,
     jacobi,
     legendre,
+    odd_prime_flags,
     prime_in_progression,
     sieve_primes,
     sqrt_mod,
@@ -53,6 +54,26 @@ class TestSieve:
     def test_prime_count_at_scan_limit(self):
         # 163841 is the largest prime admitted by the pqr <= 2457615 scan
         assert len(sieve_primes(163841)) == len(trial_division_primes(163841))
+
+
+class TestOddPrimeFlags:
+    def test_against_trial_division(self):
+        odd = set(trial_division_primes(2000)) - {2}
+        for bound in range(1, 2001):
+            flags = odd_prime_flags(bound)
+            assert len(flags) == (bound + 1) // 2
+            assert [i for i, f in enumerate(flags) if f] == [
+                (p - 1) // 2 for p in sorted(odd) if p <= bound
+            ]
+            assert set(flags) <= {0, 1}
+
+    def test_edges(self):
+        assert odd_prime_flags(0) == bytearray()
+        assert odd_prime_flags(1) == bytearray([0])  # 1 only, no primes
+        assert odd_prime_flags(2) == bytearray([0])
+        assert odd_prime_flags(3) == bytearray([0, 1])  # the one prime 3
+        with pytest.raises(ValueError):
+            odd_prime_flags(-1)
 
 
 class TestIsPrime:
