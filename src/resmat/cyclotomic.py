@@ -237,20 +237,23 @@ def is_prime_element(x):
     """Whether x is a prime element of its ring.
 
     True iff norm(x) is a rational prime, or x is a unit multiple of an inert
-    rational prime (p = 3 mod 4 for Z[i], p = 2 mod 3 for Z[w]).  The second
-    case needs is_prime(p) only, so p may be as large as is_prime allows.
-    Raises ValueError when the number to test reaches rational.MR_LIMIT, where
-    is_prime is not exact.
+    rational prime (p = 3 mod 4 for Z[i], p = 2 mod 3 for Z[w]).  A square
+    norm needs is_prime(p) only, or no test at all outside the inert class,
+    so p may be as large as is_prime allows.  Raises ValueError when a
+    non-square norm reaches rational.MR_LIMIT, where is_prime is not exact.
     """
     if x.is_zero() or x.is_unit():
         raise ValueError(f"zero or unit is neither prime nor composite: {x}")
     n = x.norm()
     p = isqrt(n)
-    r, mdl = _inert_class(x)
-    if p * p == n and p % mdl == r % mdl:
+    if p * p == n:
         # A square norm is never prime, so x is prime only if it is a unit
         # times an inert prime p; an element of norm p^2 is one exactly when
-        # p is prime (if the inert p divides x * conj(x), it divides x).
+        # p is an inert prime (if the inert p divides x * conj(x), it
+        # divides x).
+        r, mdl = _inert_class(x)
+        if p % mdl != r:
+            return False
         n = p
     if n >= MR_LIMIT:
         # is_prime(n) would raise too, but its message shows n, not x

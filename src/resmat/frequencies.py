@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from functools import lru_cache
 from math import isqrt
 
 from .matrices import SignMatrix, canonical_form
 from .qr import is_qr_matrix, qr_matrix_from_primes
-from .rational import is_prime, legendre, sieve_primes
+from .rational import is_prime, legendre, odd_prime_flags
 from .records import Record, setfield
 
 NUM_CLASSES = 10
@@ -131,18 +130,25 @@ def exact_frequencies():
     return FrequencyReport(tuple(counts), 64)
 
 
-def _residue_mask(pattern, primes):
-    """Bitset whose bit k is pattern[primes[k] % len(pattern)] (ASCII 0/1)."""
-    m = len(pattern)
-    digits = bytes([pattern[r % m] for r in primes])
-    return int(digits[::-1], 2)
+def _bitset(digits):
+    """Int whose bit k is digits[k], an ASCII 0/1 bytearray (reversed in place)."""
+    digits.reverse()  # int() reads the most significant digit first
+    return int(digits, 2)
+
+
+def _periodic_bitset(pattern, size):
+    """Int of size bits whose bit k is pattern[k % len(pattern)] (ASCII 0/1)."""
+    digits = bytearray(pattern) * -(-size // len(pattern))
+    del digits[size:]
+    return _bitset(digits)
 
 
 def _nonresidue_pattern(p):
-    """ASCII 0/1 over j mod 4p: 1 where (p/r) = -1 for the odd primes r = j (mod 4p).
+    """ASCII 0/1 over k mod 2p: 1 where (p/r) = -1 for the odd primes r = 2k + 1.
 
     By quadratic reciprocity (p/r) = (r/p) * (-1)^((p-1)/2 * (r-1)/2), so it
-    depends only on r mod p (through the squares mod p) and on r mod 4.
+    depends only on r mod p (through the squares mod p) and on r mod 4: it
+    is the odd half of a pattern over r mod 4p.
     """
     residue = bytearray(b"0") * p
     for k in range(1, (p + 1) // 2):
@@ -152,7 +158,7 @@ def _nonresidue_pattern(p):
     pattern = nonresidue * 4
     if p % 4 == 3:  # the sign flips for r = 3 (mod 4)
         pattern[3::4] = (residue * 4)[3::4]
-    return bytes(pattern)
+    return bytes(pattern[1::2])
 
 
 def empirical_scan(product_bound):
@@ -160,51 +166,56 @@ def empirical_scan(product_bound):
 
     For fixed p < q the class of (p, q, r) depends only on (p/r), (q/r) and
     r mod 4, since reciprocity fixes (r/p) and (r/q) from them.  So each
-    (p, q) window of r is counted with popcounts of three bitsets over prime
-    indices instead of one triple at a time.
+    (p, q) window of r is counted with popcounts of bitsets over the odd
+    integers (bit k stands for 2k + 1) instead of one triple at a time.
+    Every symbol mask is periodic in k, so it is a byte pattern repeated
+    in C, and only the primes that can be p or q are listed.
     """
     if product_bound < MIN_PRODUCT_BOUND:
         raise ValueError(
             f"product bound must be >= {MIN_PRODUCT_BOUND}, got {product_bound}"
         )
     table, _ = _class_table()
-    primes = sieve_primes(product_bound // 15)[1:]  # odd primes only
-    three_mod_4 = _residue_mask(b"0001", primes)
-    # N_x for every x that can be p or q (x^2 < bound / 3), with bit k set
-    # when (x / primes[k]) = -1, up to the widest window x is in: p = 3.
+    flags = odd_prime_flags(product_bound // 15)  # r <= bound / (3 * 5)
+    size = len(flags)
+    # p and q satisfy x^2 < bound / 3, and p < q < r
+    top = isqrt(product_bound // 3)
+    small = list(itertools.compress(range(1, top + 1, 2), flags[: (top + 1) // 2]))
+    primes_bits = _bitset(flags.translate(bytes.maketrans(b"\0\1", b"01")))
+    del flags  # one byte per odd integer, 8 times the size of primes_bits
+    three_mod_4 = _periodic_bitset(b"01", size)
+    # N_x, bit k set when (x / 2k+1) = -1, up to the widest window x is in:
+    # bound // 3x as q with p = 3, and size for x = p = 3
     nonres = [
-        _residue_mask(
-            _nonresidue_pattern(x),
-            primes[: bisect_right(primes, product_bound // (3 * x))],
+        _periodic_bitset(
+            _nonresidue_pattern(x), min(size, (product_bound // (3 * x) + 1) // 2)
         )
-        for x in primes[: bisect_right(primes, isqrt(product_bound // 3))]
+        for x in small
     ]
     counts = [0] * NUM_CLASSES
-    total = 0
-    for ai in range(len(primes)):
-        p = primes[ai]
-        if ai + 2 >= len(primes) or p * primes[ai + 1] * primes[ai + 2] > product_bound:
+    for ai, p in enumerate(small):
+        if p * (p + 2) * (p + 4) > product_bound:
             break
         p3 = p % 4 == 3
-        for bi in range(ai + 1, len(primes)):
-            q = primes[bi]
-            if bi + 1 >= len(primes) or p * q * primes[bi + 1] > product_bound:
+        for bi in range(ai + 1, len(small)):
+            q = small[bi]
+            if p * q * (q + 2) > product_bound:
                 break
             q3 = q % 4 == 3
-            hi = bisect_right(primes, product_bound // (p * q))
-            window = (1 << hi) - (1 << (bi + 1))  # r = primes[bi + 1 : hi]
+            # r = 2k + 1 with q < r <= bound // (pq)
+            lo, hi = (q + 1) // 2, (product_bound // (p * q) + 1) // 2
+            window = primes_bits & ((1 << hi) - (1 << lo))
             # reciprocity: (b/a) = (a/b) unless a = b = 3 (mod 4)
             pq = legendre(p, q) == -1
             pair = pq | (pq ^ (p3 & q3)) << 1
             # the window's r with (p/r) = -1, (q/r) = -1 and r = 3 (mod 4),
             # each as (complement, set), so that index 1 means the bit is set
             pn, qn, r3 = (
-                (window & ~mask, window & mask)
-                for mask in (nonres[ai], nonres[bi], three_mod_4)
+                (window ^ hit, hit)
+                for hit in (window & m for m in (nonres[ai], nonres[bi], three_mod_4))
             )
             for x, y, z in itertools.product((0, 1), repeat=3):
                 code = pair | x << 2 | (x ^ (p3 & z)) << 3
                 code |= y << 4 | (y ^ (q3 & z)) << 5
                 counts[table[code] - 1] += (pn[x] & qn[y] & r3[z]).bit_count()
-            total += hi - bi - 1
-    return FrequencyReport(tuple(counts), total)
+    return FrequencyReport(tuple(counts), sum(counts))

@@ -199,6 +199,12 @@ def test_criterion_8_splitting_frequencies():
     assert empirical_scan(10**7).counts == (
         51746, 119270, 183705, 137529, 161499, 137698, 212065, 54604, 153885, 78873
     )
+    report = empirical_scan(10**8)
+    assert report.total == 13337070
+    assert report.counts == (
+        578445, 1255458, 1971958, 1403370, 1637257,
+        1403422, 2197233, 549027, 1537992, 802908,
+    )
     assert time.monotonic() - start < 120
 
 

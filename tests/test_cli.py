@@ -286,18 +286,34 @@ class TestSymbol:
 
     @pytest.mark.parametrize("kind", ["cubic", "quartic"])
     def test_operand_norm_beyond_primality_bound_names_operand(self, capsys, kind):
-        den = 600_000_000_001  # its norm, den^2, is above MR_LIMIT
-        assert den < MR_LIMIT <= den * den
+        a = 600_000_000_001  # the norm a^2 - a + 1 resp. a^2 + 1 is no square
+        assert a < MR_LIMIT <= a * a - a + 1
+        den = f"{a}+{'w' if kind == 'cubic' else 'i'}"
         for extra in ([], ["--primary"]):
             code, out, err = run_cli(
                 capsys,
-                ["symbol", "--kind", kind, "--num", "2", "--den", str(den)] + extra,
+                ["symbol", "--kind", kind, "--num", "2", "--den", den] + extra,
             )
             assert code == 2 and out == ""
             assert err == (
                 f"error: cannot decide whether {den} is prime: is_prime is exact "
                 f"only for norms below {MR_LIMIT}\n"
             )
+
+    @pytest.mark.parametrize("kind", ["cubic", "quartic"])
+    def test_square_norm_outside_inert_class_is_not_prime(self, capsys, kind):
+        # 600000000001 = 1 mod 4 and 1 mod 3 splits, so it is not prime, and
+        # its square norm shows that without a primality test
+        den = "600000000001"
+        code, out, err = run_cli(
+            capsys, ["symbol", "--kind", kind, "--num", "2", "--den", den]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: denominator must be a primary prime element: {den}\n"
+        code, out, err = run_cli(
+            capsys, ["symbol", "--kind", kind, "--num", "2", "--den", den, "--primary"]
+        )
+        assert (code, out, err) == (2, "", f"error: not a prime element: {den}\n")
 
     @pytest.mark.parametrize(
         "kind, den", [("quartic", "-564504967151"), ("cubic", "-564504967223")]

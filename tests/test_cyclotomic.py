@@ -182,6 +182,18 @@ class TestInertPrimesBeyondSquareRootOfBound:
             assert not is_prime_element(ring(0, c))
 
     @pytest.mark.parametrize("ring, symbol, m", RINGS)
+    def test_square_norm_outside_inert_class_is_not_prime(self, ring, symbol, m):
+        # a norm c^2 is never prime, and c outside the inert class is no
+        # inert prime, so no primality test is needed
+        r, mdl = (3, 4) if ring is GaussianInt else (2, 3)
+        start = isqrt(MR_LIMIT) + 1
+        for c in range(start, start + 24):
+            if c % mdl != r:
+                assert not is_prime_element(ring(c, 0))
+                assert not is_prime_element(ring(0, c))
+        assert not is_prime_element(ring(600_000_000_001, 0))
+
+    @pytest.mark.parametrize("ring, symbol, m", RINGS)
     def test_non_square_norm_beyond_bound_still_raises(self, ring, symbol, m):
         p = inert_above_bound(ring, True, count=1)[0]
         with pytest.raises(ValueError, match="cannot decide whether"):

@@ -13,7 +13,7 @@ from resmat.frequencies import (
     FrequencyReport,
     _class_table,
     _nonresidue_pattern,
-    _residue_mask,
+    _periodic_bitset,
     class_representatives,
     configuration_class,
     empirical_scan,
@@ -174,20 +174,37 @@ class TestEmpiricalScan:
     @example(272)  # 3 * 7 * 13 - 1
     @example(273)  # 3 * 7 * 13
     @example(ORACLE_MAX_BOUND)
+    @example(314)  # 5 * 7 * 9 - 1: p = 5 is past p * (p + 2) * (p + 4)
+    @example(315)  # 5 * 7 * 9
+    @example(692)  # 7 * 9 * 11 - 1
+    @example(693)  # 7 * 9 * 11
+    @example(428)  # 3 * 11 * 13 - 1: q = 11 is past p * q * (q + 2) for p = 3
+    @example(429)  # 3 * 11 * 13
+    @example(584)  # 3 * 13 * 15 - 1
+    @example(585)  # 3 * 13 * 15
+    @example(974)  # 5 * 13 * 15 - 1
+    @example(975)  # 5 * 13 * 15
+    @example(15135)  # 3 * 5 * 1009: bound // 15, the last bit of the r bitset, is prime
+    @example(15134)  # 15134 // 15 = 1008
     def test_matches_per_triple_oracle(self, bound):
         assert empirical_scan(bound) == _scan_oracle(bound)
 
 
 class TestNonresidueMask:
     def test_agrees_with_euler_criterion(self):
-        # bit k of N_p is set exactly when (p / r_k) = -1, for r_k != p, and
-        # clear at r_k = p, where the symbol is 0
+        # bit (r - 1) / 2 of N_x is set exactly when (x / r) = -1, for r != x,
+        # and clear at r = x, where the symbol is 0
         odd = sieve_primes(10**4)[1:]
-        for p in odd[: bisect_right(odd, 2000)]:
-            mask = _residue_mask(_nonresidue_pattern(p), odd)
-            for k, r in enumerate(odd):
-                want = r != p and legendre(p, r) == -1
-                assert (mask >> k & 1) == want, (p, r)
+        for x in odd[: bisect_right(odd, 2000)]:
+            mask = _periodic_bitset(_nonresidue_pattern(x), 10**4 // 2)
+            for r in odd:
+                want = r != x and legendre(x, r) == -1
+                assert (mask >> (r - 1) // 2 & 1) == want, (x, r)
 
     def test_three_mod_4_mask(self):
-        assert _residue_mask(b"0001", [3, 5, 7, 11, 13]) == 0b01101
+        # bit k stands for the odd integer 2k + 1
+        mask = _periodic_bitset(b"01", 10**4)
+        assert mask.bit_length() <= 10**4
+        for k in range(10**4):
+            assert (mask >> k & 1) == ((2 * k + 1) % 4 == 3), k
+        assert _periodic_bitset(b"01", 7) == 0b0101010
