@@ -190,7 +190,12 @@ def cmd_freq(args):
     if args.exact:
         report = frequencies.exact_frequencies()
     else:
-        report = frequencies.empirical_scan(args.bound)
+        try:
+            report = frequencies.empirical_scan(args.bound)
+        except (MemoryError, OverflowError):
+            # the scan's bitsets grow linearly with the bound
+            print(f"error: --bound {args.bound} is too large to scan", file=sys.stderr)
+            return 2
     freqs = report.frequencies
     if args.json:
         payload = {

@@ -136,19 +136,25 @@ def _bitset(digits):
     return int(digits, 2)
 
 
-def _periodic_bitset(pattern, size):
-    """Int of size bits whose bit k is pattern[k % len(pattern)] (ASCII 0/1)."""
-    digits = bytearray(pattern) * -(-size // len(pattern))
-    del digits[size:]
-    return _bitset(digits)
+def _periodic_bitset(pattern, period, size):
+    """Int of size bits whose bit k is bit k % period of pattern.
+
+    The pattern is doubled (pattern |= pattern << period) until it covers
+    size bits, so each step is one shift and one OR over the bits so far.
+    """
+    while period < size:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << size) - 1)
 
 
 def _nonresidue_pattern(p):
-    """ASCII 0/1 over k mod 2p: 1 where (p/r) = -1 for the odd primes r = 2k + 1.
+    """Int of 2p bits, bit k set when (p/r) = -1 for the odd integer r = 2k + 1.
 
     By quadratic reciprocity (p/r) = (r/p) * (-1)^((p-1)/2 * (r-1)/2), so it
     depends only on r mod p (through the squares mod p) and on r mod 4: it
-    is the odd half of a pattern over r mod 4p.
+    is the odd half of a pattern over r mod 4p, that is a pattern over k
+    mod 2p.
     """
     residue = bytearray(b"0") * p
     for k in range(1, (p + 1) // 2):
@@ -158,7 +164,7 @@ def _nonresidue_pattern(p):
     pattern = nonresidue * 4
     if p % 4 == 3:  # the sign flips for r = 3 (mod 4)
         pattern[3::4] = (residue * 4)[3::4]
-    return bytes(pattern[1::2])
+    return _bitset(pattern[1::2])
 
 
 def empirical_scan(product_bound):
@@ -168,8 +174,8 @@ def empirical_scan(product_bound):
     r mod 4, since reciprocity fixes (r/p) and (r/q) from them.  So each
     (p, q) window of r is counted with popcounts of bitsets over the odd
     integers (bit k stands for 2k + 1) instead of one triple at a time.
-    Every symbol mask is periodic in k, so it is a byte pattern repeated
-    in C, and only the primes that can be p or q are listed.
+    Every symbol mask is periodic in k, so it is built by doubling its
+    period, and only the primes that can be p or q are listed.
     """
     if product_bound < MIN_PRODUCT_BOUND:
         raise ValueError(
@@ -183,39 +189,59 @@ def empirical_scan(product_bound):
     small = list(itertools.compress(range(1, top + 1, 2), flags[: (top + 1) // 2]))
     primes_bits = _bitset(flags.translate(bytes.maketrans(b"\0\1", b"01")))
     del flags  # one byte per odd integer, 8 times the size of primes_bits
-    three_mod_4 = _periodic_bitset(b"01", size)
+    three_mod_4 = _periodic_bitset(0b10, 2, size)
     # N_x, bit k set when (x / 2k+1) = -1, up to the widest window x is in:
     # bound // 3x as q with p = 3, and size for x = p = 3
     nonres = [
         _periodic_bitset(
-            _nonresidue_pattern(x), min(size, (product_bound // (3 * x) + 1) // 2)
+            _nonresidue_pattern(x),
+            2 * x,
+            min(size, (product_bound // (3 * x) + 1) // 2),
         )
         for x in small
     ]
-    counts = [0] * NUM_CLASSES
+    # Per window type t = [(p/q) = -1] | [p = 3 (mod 4)] << 1 | [q = 3] << 2,
+    # the popcounts of W & P^a & Q^b & Z^c summed at index a | b << 1 | c << 2,
+    # where W is the window's primes, P = N_p, Q = N_q and Z = three_mod_4
+    sums = [[0] * 8 for _ in range(8)]
     for ai, p in enumerate(small):
         if p * (p + 2) * (p + 4) > product_bound:
             break
-        p3 = p % 4 == 3
         for bi in range(ai + 1, len(small)):
             q = small[bi]
             if p * q * (q + 2) > product_bound:
                 break
-            q3 = q % 4 == 3
             # r = 2k + 1 with q < r <= bound // (pq)
             lo, hi = (q + 1) // 2, (product_bound // (p * q) + 1) // 2
-            window = primes_bits & ((1 << hi) - (1 << lo))
-            # reciprocity: (b/a) = (a/b) unless a = b = 3 (mod 4)
-            pq = legendre(p, q) == -1
-            pair = pq | (pq ^ (p3 & q3)) << 1
-            # the window's r with (p/r) = -1, (q/r) = -1 and r = 3 (mod 4),
-            # each as (complement, set), so that index 1 means the bit is set
-            pn, qn, r3 = (
-                (window ^ hit, hit)
-                for hit in (window & m for m in (nonres[ai], nonres[bi], three_mod_4))
-            )
-            for x, y, z in itertools.product((0, 1), repeat=3):
-                code = pair | x << 2 | (x ^ (p3 & z)) << 3
-                code |= y << 4 | (y ^ (q3 & z)) << 5
-                counts[table[code] - 1] += (pn[x] & qn[y] & r3[z]).bit_count()
+            w = primes_bits & ((1 << hi) - (1 << lo))
+            pw, qw, zw = w & nonres[ai], w & nonres[bi], w & three_mod_4
+            s = sums[(legendre(p, q) == -1) | (p & 2) | (q & 2) << 1]
+            s[0] += w.bit_count()
+            s[1] += pw.bit_count()
+            s[2] += qw.bit_count()
+            s[4] += zw.bit_count()
+            # at most five window-wide ints are alive at once: W goes before
+            # PQ is built, and the rest before the next window is
+            del w
+            pqw = pw & qw
+            s[3] += pqw.bit_count()
+            s[5] += (pw & zw).bit_count()
+            s[6] += (qw & zw).bit_count()
+            s[7] += (pqw & zw).bit_count()
+            del pw, qw, zw, pqw
+    counts = [0] * NUM_CLASSES
+    for t, cells in enumerate(sums):
+        # Moebius inversion over the subsets of {P, Q, Z}: cells[c] becomes
+        # the number of r in exactly the masks of c
+        for bit in (1, 2, 4):
+            for c in range(8):
+                if not c & bit:
+                    cells[c] -= cells[c | bit]
+        pq, p3, q3 = t & 1, t >> 1 & 1, t >> 2
+        # reciprocity: (b/a) = (a/b) unless a = b = 3 (mod 4)
+        pair = pq | (pq ^ (p3 & q3)) << 1
+        for c, n in enumerate(cells):
+            x, y, z = c & 1, c >> 1 & 1, c >> 2
+            code = pair | x << 2 | (x ^ (p3 & z)) << 3 | y << 4 | (y ^ (q3 & z)) << 5
+            counts[table[code] - 1] += n
     return FrequencyReport(tuple(counts), sum(counts))

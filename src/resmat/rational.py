@@ -55,7 +55,10 @@ def odd_prime_flags(bound):
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     size = (bound + 1) // 2
-    flags = bytearray([1]) * size
+    # grown in place: where the allocation fails, CPython 3.11's
+    # bytearray * n also reports a spurious SystemError on stderr
+    flags = bytearray([1])
+    flags *= size
     if size:
         flags[0] = 0  # 1 is not prime
     for i in range(1, (isqrt(bound) + 1) // 2):

@@ -1,11 +1,16 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import resmat
 from resmat.cli import MatrixParseError, _format_freq, main, parse_matrix_text
 from resmat.matrices import COUNT_MAX_N
 from resmat.rational import MR_LIMIT
@@ -19,8 +24,6 @@ QUARTIC_BAD_TEXT = "0 i\n1 0\n"
 
 def run_cli(capsys, argv, stdin=None):
     if stdin is not None:
-        import sys
-
         old = sys.stdin
         sys.stdin = io.StringIO(stdin)
         try:
@@ -261,6 +264,27 @@ class TestFreq:
     def test_bad_bound_exit_2(self, capsys):
         code, _, err = run_cli(capsys, ["freq", "--bound", "10"])
         assert code == 2
+
+    @pytest.mark.parametrize("bound", [10**20, 10**30])
+    def test_bound_too_large_exit_2(self, capsys, bound):
+        # the sieve's B/30 bytes fail at allocation, before any is touched:
+        # MemoryError at 10**20, OverflowError (not an index) at 10**30
+        code, out, err = run_cli(capsys, ["freq", "--bound", str(bound)])
+        assert code == 2 and out == ""
+        assert err == f"error: --bound {bound} is too large to scan\n"
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_optimized_run_prints_the_same(self, capsys, flags):
+        # python -O strips asserts; the scan's output must not depend on them
+        argv = ["freq", "--bound", "2457615", *flags]
+        code, out, _ = run_cli(capsys, argv)
+        env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "resmat.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert code == 0 and proc.returncode == 0
+        assert proc.stdout == out and proc.stderr == ""
 
 
 class TestSymbol:

@@ -1,3 +1,4 @@
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import permutations
@@ -170,9 +171,9 @@ class TestEmpiricalScan:
             st.sampled_from(TRIPLE_PRODUCTS[1:]).map(lambda n: n - 1),
         )
     )
-    @example(MIN_PRODUCT_BOUND)
+    @example(105)  # one window, (3, 5): the other seven window types stay zero
     @example(272)  # 3 * 7 * 13 - 1
-    @example(273)  # 3 * 7 * 13
+    @example(273)  # 3 * 7 * 13: two windows, (3, 5) and (3, 7), of two types
     @example(ORACLE_MAX_BOUND)
     @example(314)  # 5 * 7 * 9 - 1: p = 5 is past p * (p + 2) * (p + 4)
     @example(315)  # 5 * 7 * 9
@@ -189,6 +190,44 @@ class TestEmpiricalScan:
     def test_matches_per_triple_oracle(self, bound):
         assert empirical_scan(bound) == _scan_oracle(bound)
 
+    def test_peak_memory_at_1e8(self):
+        # the peak, 7.1 MB, is the sieve's byte flags and their ASCII copy
+        # (3.3 MB each); one more full-length copy, say an ASCII mask, is over
+        _class_table()
+        tracemalloc.start()
+        try:
+            empirical_scan(10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 10**6
+
+
+def _repeat_bits(pattern, period, size):
+    """Bit by bit: the int whose bit k is bit k % period of pattern."""
+    return sum((pattern >> k % period & 1) << k for k in range(size))
+
+
+class TestPeriodicBitset:
+    @pytest.mark.parametrize(
+        "pattern, period",
+        [
+            (0b1, 1),
+            (0b10, 2),
+            (0b101, 3),
+            (0b0110, 4),
+            (0b1000000001101, 13),
+            (_nonresidue_pattern(7), 14),
+        ],
+    )
+    def test_matches_bit_by_bit_repeat(self, pattern, period):
+        sizes = {0, 1, period - 1, period, period + 1, 5 * period + 2}
+        for k in range(1, 8):
+            sizes |= {period * 2**k - 1, period * 2**k, period * 2**k + 1}
+        for size in sorted(sizes):
+            got = _periodic_bitset(pattern, period, size)
+            assert got == _repeat_bits(pattern, period, size), (pattern, period, size)
+
 
 class TestNonresidueMask:
     def test_agrees_with_euler_criterion(self):
@@ -196,15 +235,15 @@ class TestNonresidueMask:
         # and clear at r = x, where the symbol is 0
         odd = sieve_primes(10**4)[1:]
         for x in odd[: bisect_right(odd, 2000)]:
-            mask = _periodic_bitset(_nonresidue_pattern(x), 10**4 // 2)
+            mask = _periodic_bitset(_nonresidue_pattern(x), 2 * x, 10**4 // 2)
             for r in odd:
                 want = r != x and legendre(x, r) == -1
                 assert (mask >> (r - 1) // 2 & 1) == want, (x, r)
 
     def test_three_mod_4_mask(self):
         # bit k stands for the odd integer 2k + 1
-        mask = _periodic_bitset(b"01", 10**4)
+        mask = _periodic_bitset(0b10, 2, 10**4)
         assert mask.bit_length() <= 10**4
         for k in range(10**4):
             assert (mask >> k & 1) == ((2 * k + 1) % 4 == 3), k
-        assert _periodic_bitset(b"01", 7) == 0b0101010
+        assert _periodic_bitset(0b10, 2, 7) == 0b0101010
