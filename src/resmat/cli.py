@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
@@ -69,6 +70,8 @@ def parse_matrix_text(text, m):
 
 def _read_matrix(path, m):
     if path == "-":
+        if sys.stdin is None:  # the process was started with fd 0 closed
+            raise ValueError("standard input is closed; give the matrix with --file")
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as fh:
@@ -258,7 +261,9 @@ def cmd_symbol(args):
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The `resmat` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="resmat",
         description="Quadratic, cubic, and quartic residue matrix toolkit",
@@ -329,10 +334,9 @@ def _join_value_flags(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_join_value_flags(argv))
+    args = build_parser().parse_args(_join_value_flags(argv))
     try:
         return args.func(args)
     except NotAResidueMatrixError as exc:

@@ -8,7 +8,10 @@ from math import isqrt
 
 from .matrices import SignMatrix, canonical_form
 from .qr import is_qr_matrix, qr_matrix_from_primes
-from .rational import is_prime, legendre, odd_prime_flags
+from .rational import is_prime, odd_prime_flags
+# not called here since the scan reads (p/q) from its masks; still bound
+# because perfbench/test_perfbench.py checks that the tracer rebinds it here
+from .rational import legendre  # noqa: F401
 from .records import Record, setfield
 
 NUM_CLASSES = 10
@@ -215,7 +218,10 @@ def empirical_scan(product_bound):
             lo, hi = (q + 1) // 2, (product_bound // (p * q) + 1) // 2
             w = primes_bits & ((1 << hi) - (1 << lo))
             pw, qw, zw = w & nonres[ai], w & nonres[bi], w & three_mod_4
-            s = sums[(legendre(p, q) == -1) | (p & 2) | (q & 2) << 1]
+            # (p/q) = -1 is bit (q - 1) / 2 of N_p, whose bits cover the odd
+            # integers up to bound // 3p, past q as pq(q + 2) <= bound; an AND
+            # with that one bit reads it without copying N_p as a shift would
+            s = sums[(nonres[ai] & 1 << (q >> 1) > 0) | (p & 2) | (q & 2) << 1]
             s[0] += w.bit_count()
             s[1] += pw.bit_count()
             s[2] += qw.bit_count()

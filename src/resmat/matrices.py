@@ -91,16 +91,6 @@ class SignMatrix(Record):
             self.m, tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n))
         )
 
-    def conj_entries(self):
-        """Entrywise complex conjugation: exponent negation mod m."""
-        return SignMatrix(
-            self.m,
-            tuple(
-                tuple(None if e is None else (-e) % self.m for e in row)
-                for row in self.entries
-            ),
-        )
-
     def negate(self):
         """Entrywise multiplication by -1 off the diagonal (m even)."""
         if self.m % 2 != 0:

@@ -11,7 +11,13 @@ from pathlib import Path
 import pytest
 
 import resmat
-from resmat.cli import MatrixParseError, _format_freq, main, parse_matrix_text
+from resmat.cli import (
+    MatrixParseError,
+    _format_freq,
+    build_parser,
+    main,
+    parse_matrix_text,
+)
 from resmat.matrices import COUNT_MAX_N
 from resmat.rational import MR_LIMIT
 
@@ -109,6 +115,26 @@ class TestCheck:
         _, out1, _ = run_cli(capsys, ["check", "--json"], stdin=QR_TEXT)
         _, out2, _ = run_cli(capsys, ["check", "--json"], stdin=QR_TEXT)
         assert out1 == out2
+
+
+class TestClosedStdin:
+    # Python sets sys.stdin to None when the process starts with fd 0 closed
+    ERR = "error: standard input is closed; give the matrix with --file\n"
+
+    @pytest.mark.parametrize("argv", [["check"], ["witness"]])
+    def test_in_process_exit_2(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdin", None)
+        assert run_cli(capsys, argv) == (2, "", self.ERR)
+
+    @pytest.mark.parametrize("command", ["check", "witness"])
+    def test_closed_fd_0_exit_2(self, command):
+        env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "resmat.cli", command],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: os.close(0),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", self.ERR)
 
 
 class TestWitness:
@@ -413,3 +439,42 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """main builds its parser once; no parse may leave state for the next."""
+
+    CALLS = [
+        (["count", "--n", "4", "--json"], None),
+        (["count", "--n", "4"], None),
+        (["freq", "--exact"], None),
+        (["freq", "--bound", "105"], None),
+        (["count"], None),  # --n is required: usage error
+        (["count", "--n", "3", "--kind", "skew", "--classes"], None),
+        (["witness", "--limit", "4"], QR_TEXT),
+        (["witness"], QR_TEXT),
+        (["symbol", "--kind", "cubic", "--num", "2", "--den", "3+w", "--primary"], None),
+        (["symbol", "--kind", "cubic", "--num", "2", "--den", "3+w"], None),
+    ]
+
+    @staticmethod
+    def call(capsys, argv, stdin):
+        try:
+            return run_cli(capsys, argv, stdin)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    def test_reused_parser_matches_a_fresh_one(self, capsys):
+        fresh = []
+        for argv, stdin in self.CALLS:
+            build_parser.cache_clear()
+            fresh.append(self.call(capsys, argv, stdin))
+        assert [r[0] for r in fresh] == [0, 0, 0, 0, 2, 0, 3, 0, 0, 2]
+        build_parser.cache_clear()
+        # forwards, then backwards, so each call of a pair also follows the other
+        order = list(range(len(self.CALLS)))
+        for i in order + order[::-1]:
+            assert self.call(capsys, *self.CALLS[i]) == fresh[i], self.CALLS[i]
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(self.CALLS) - 1)

@@ -70,6 +70,26 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_builds_no_parser():
+    # main builds the parser on its first call, so importing the CLI and
+    # filling its tables (the benchmark's setup) does not pay for it
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import resmat.cli\n"
+        "from resmat import frequencies\n"
+        "frequencies.class_representatives()\n"
+        "print(resmat.cli.build_parser.cache_info().currsize)\n"
+        "resmat.cli.main(['count', '--n', '3'])\n"
+        "print(resmat.cli.build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(PACKAGE_DIR.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split() == ["0", "40", "1"]
+
+
 def test_traced_names_exist():
     # the benchmark's tracer getattrs every name in its TRACED table, so a
     # deleted or renamed function breaks `perfbench/run.py --trace 1`
