@@ -62,7 +62,7 @@ from .qr import (
     to_config_graph,
     witness_primes,
 )
-from .rational import crt, is_prime, jacobi, legendre, prime_in_progression, sieve_primes
+from .rational import is_prime, jacobi, legendre, sieve_primes
 
 __all__ = [
     "BlockDecomposition",
@@ -87,7 +87,6 @@ __all__ = [
     "count_qr_matrices",
     "count_skew_classes",
     "count_symmetric_classes",
-    "crt",
     "cubic_matrix",
     "cubic_symbol",
     "cubic_witness",
@@ -107,7 +106,6 @@ __all__ = [
     "norm",
     "parse_element",
     "primary_generator",
-    "prime_in_progression",
     "qr_matrix_from_primes",
     "quartic_block_form",
     "quartic_matrix",

@@ -304,15 +304,22 @@ def _pow_mod(x, e, q):
     return result
 
 
-def _residue_symbol(x, q, m):
+def _check_symbol_operands(x, q):
     if type(x) is not type(q):
         raise ValueError("operands must live in the same ring")
     if not is_prime_element(q) or not is_primary(q):
         raise ValueError(f"modulus must be a primary prime element, got {q}")
-    nq = q.norm()
     if divides(q, x):
         raise ValueError(f"{x} is divisible by {q}; symbol undefined")
-    r = _pow_mod(x, (nq - 1) // m, q)
+
+
+def _residue_symbol(x, q, m):
+    """The exponent e in range(m) with x^((Nq-1)/m) = zeta**e mod q, unchecked.
+
+    q must be a primary prime of x's ring that does not divide x: the public
+    symbols check that first, and the witness search builds only such moduli.
+    """
+    r = _pow_mod(x, (q.norm() - 1) // m, q)
     for e in range(m):
         if divides(q, r - q.root_of_unity(e)):
             return e
@@ -325,6 +332,7 @@ def cubic_symbol(x, q):
     """Exponent e in {0,1,2} with x^((Nq-1)/3) = w**e mod q, q primary in Z[w]."""
     if not isinstance(q, EisensteinInt):
         raise ValueError("cubic symbol needs an Eisenstein modulus")
+    _check_symbol_operands(x, q)
     return _residue_symbol(x, q, 3)
 
 
@@ -332,6 +340,7 @@ def quartic_symbol(x, q):
     """Exponent e in {0,1,2,3} with x^((Nq-1)/4) = i**e mod q, q primary in Z[i]."""
     if not isinstance(q, GaussianInt):
         raise ValueError("quartic symbol needs a Gaussian modulus")
+    _check_symbol_operands(x, q)
     return _residue_symbol(x, q, 4)
 
 

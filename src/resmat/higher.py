@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+from itertools import count
+
 from .cyclotomic import (
     EisensteinInt,
     GaussianInt,
+    _residue_symbol,
     cubic_symbol,
     gcd_element,
     is_primary,
     is_prime_element,
     primary_generator,
     quartic_symbol,
-    same_ideal,
 )
 from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import SignMatrix
@@ -49,9 +51,11 @@ def _validate_primary_primes(primes, ring):
             raise ValueError(f"expected {ring.__name__} elements, got {p!r}")
         if not is_prime_element(p) or not is_primary(p):
             raise ValueError(f"not a primary prime element: {p}")
+    # a primary generator is unique per prime ideal, so equal ideals are
+    # equal elements
     for i in range(len(primes)):
         for j in range(i + 1, len(primes)):
-            if same_ideal(primes[i], primes[j]):
+            if primes[i] == primes[j]:
                 raise ValueError(
                     f"prime ideals must be distinct: {primes[i]}, {primes[j]}"
                 )
@@ -170,32 +174,43 @@ def _degree_one_primary_primes(kind, norm_limit):
 
 
 def _scan_witnesses(matrix, kind, norm_limit, class_filter=None):
-    n = matrix.n
+    # Column k takes the first candidate, in ascending norm, that is not yet
+    # chosen, passes the class filter and matches the symbols against every
+    # earlier choice in both directions.  The candidates are generated once
+    # per search and each column walks them from the start, so it finds what
+    # a fresh scan would find and counts the same tried.  A primary generator
+    # is unique per prime ideal, so a chosen prime is found by equality, and
+    # the moduli are primary primes by construction, so the symbols skip the
+    # public functions' checks.
+    m = 3 if kind == "eisenstein" else 4
+    source = _degree_one_primary_primes(kind, norm_limit)
+    candidates = []
     chosen = []
-    symbol = cubic_symbol if kind == "eisenstein" else quartic_symbol
-    for k in range(n):
-        tried = 0
-        for cand in _degree_one_primary_primes(kind, norm_limit):
-            tried += 1
-            if any(same_ideal(cand, q) for q in chosen):
+    for k in range(matrix.n):
+        row = matrix.entries[k]
+        for idx in count():  # idx candidates examined so far
+            if idx == len(candidates):
+                cand = next(source, None)
+                if cand is None:
+                    raise SearchExhaustedError(
+                        f"no prime of norm <= {norm_limit} realizes column {k + 1}",
+                        limit=norm_limit,
+                        column=k + 1,
+                        tried=idx,
+                    )
+                candidates.append(cand)
+            cand = candidates[idx]
+            if cand in chosen:
                 continue
             if class_filter is not None and not class_filter(k, cand):
                 continue
-            ok = all(
-                symbol(cand, qj) == matrix.entries[k][j]
-                and symbol(qj, cand) == matrix.entries[j][k]
+            if all(
+                _residue_symbol(cand, qj, m) == row[j]
+                and _residue_symbol(qj, cand, m) == matrix.entries[j][k]
                 for j, qj in enumerate(chosen)
-            )
-            if ok:
+            ):
                 chosen.append(cand)
                 break
-        else:
-            raise SearchExhaustedError(
-                f"no prime of norm <= {norm_limit} realizes column {k + 1}",
-                limit=norm_limit,
-                column=k + 1,
-                tried=tried,
-            )
     return chosen
 
 

@@ -1,11 +1,9 @@
-"""Primes, quadratic symbols, CRT, and prime search over the rational integers."""
+"""Primes and quadratic symbols over the rational integers."""
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd, isqrt
-
-from .errors import SearchExhaustedError
+from math import isqrt
 
 # Deterministic Miller-Rabin base set.  The least composite that is a strong
 # pseudoprime to all of these bases is psi_12 = 318665857834031151167461
@@ -106,50 +104,6 @@ def jacobi(a, n):
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def crt(residues, moduli):
-    """The unique x in [0, prod(moduli)) with x = residues[k] mod moduli[k]."""
-    if len(residues) != len(moduli):
-        raise ValueError("residues and moduli must have equal length")
-    if not moduli:
-        raise ValueError("at least one congruence is required")
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r, q in zip(residues[1:], moduli[1:]):
-        if gcd(m, q) != 1:
-            raise ValueError(f"moduli are not pairwise coprime: gcd({m},{q}) > 1")
-        # x + m*t = r (mod q)
-        t = (r - x) * pow(m, -1, q) % q
-        x += m * t
-        m *= q
-    return x % m
-
-
-def prime_in_progression(residue, modulus, limit, *, min_exclusive=None):
-    """Smallest prime = residue (mod modulus) exceeding min_exclusive, <= limit.
-
-    min_exclusive defaults to max(modulus, 2), so the prime found is coprime
-    to (and distinct from) every prime dividing the modulus.
-    """
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    if gcd(residue, modulus) != 1:
-        raise ValueError(
-            f"residue {residue} is not coprime to modulus {modulus}"
-        )
-    if min_exclusive is None:
-        min_exclusive = max(modulus, 2)
-    min_exclusive = max(min_exclusive, 2)
-    residue %= modulus
-    candidate = residue + modulus * ((min_exclusive - residue) // modulus + 1)
-    while candidate <= limit:
-        if is_prime(candidate):
-            return candidate
-        candidate += modulus
-    raise SearchExhaustedError(
-        f"no prime = {residue} (mod {modulus}) in ({min_exclusive}, {limit}]",
-        limit=limit,
-    )
 
 
 def sqrt_mod(a, p):

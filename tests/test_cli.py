@@ -180,6 +180,34 @@ class TestWitness:
         assert out.strip().splitlines()[-1] == "VERIFIED"
 
 
+class TestHigherWitnessOptimized:
+    # python -O strips asserts; the m=3/4 post-conditions must survive it
+    CASES = [("3", CUBIC_TEXT), ("4", QUARTIC_TEXT)]
+
+    @staticmethod
+    def run_optimized(argv, stdin):
+        env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "resmat.cli", *argv],
+            input=stdin, capture_output=True, text=True, timeout=60, env=env,
+        )
+
+    @pytest.mark.parametrize("m, text", CASES)
+    def test_verified(self, capsys, m, text):
+        argv = ["witness", "--m", m]
+        code, out, _ = run_cli(capsys, argv, stdin=text)
+        proc = self.run_optimized(argv, text)
+        assert code == 0 and proc.returncode == 0
+        assert proc.stdout == out and proc.stderr == ""
+        assert out.endswith("\nVERIFIED\n")
+
+    @pytest.mark.parametrize("m, text", CASES)
+    def test_exhausted(self, m, text):
+        proc = self.run_optimized(["witness", "--m", m, "--limit", "1"], text)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: no prime of norm <= 1 realizes column 1\n"
+
+
 class TestCount:
     def test_qr_matrices(self, capsys):
         code, out, _ = run_cli(capsys, ["count", "--n", "3"])

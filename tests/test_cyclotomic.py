@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from resmat.cyclotomic import (
     EisensteinInt,
     GaussianInt,
+    _residue_symbol,
     check_quartic_reciprocity,
     cubic_symbol,
     divides,
@@ -315,6 +316,57 @@ class TestSymbols:
             quartic_symbol(x * y, q)
             == (quartic_symbol(x, q) + quartic_symbol(y, q)) % 4
         )
+
+
+G, E = GaussianInt, EisensteinInt
+# primary primes of both kinds: degree 1 (prime norm) and inert (norm p^2)
+SYMBOL_POOLS = {ring: primary_primes(ring, 400) for ring in (G, E)}
+
+
+class TestSymbolCore:
+    # the unchecked core the witness search calls on moduli it built
+    @settings(max_examples=200)
+    @given(st.sampled_from(RINGS), st.data())
+    def test_core_equals_public_symbol(self, case, data):
+        ring, symbol, m = case
+        x, q = data.draw(
+            st.lists(
+                st.sampled_from(SYMBOL_POOLS[ring]), min_size=2, max_size=2,
+                unique=True,
+            )
+        )
+        assert _residue_symbol(x, q, m) == symbol(x, q)
+
+    def test_pools_hold_both_kinds(self):
+        for ring, pool in SYMBOL_POOLS.items():
+            assert any(is_prime(q.norm()) for q in pool)
+            assert any(not is_prime(q.norm()) for q in pool)
+
+    @pytest.mark.parametrize(
+        "symbol, x, q, message",
+        [
+            (quartic_symbol, G(1, 0), G(-1, 2) * G(3, 2),
+             "modulus must be a primary prime element, got -7+4i"),
+            (cubic_symbol, E(1, 0), E(-2, -3) * E(4, 3),
+             "modulus must be a primary prime element, got 1-9w"),
+            (quartic_symbol, G(1, 0), G(2, 1),
+             "modulus must be a primary prime element, got 2+i"),
+            (cubic_symbol, E(2, 0), E(3, 1),
+             "modulus must be a primary prime element, got 3+w"),
+            (cubic_symbol, G(1, 0), E(-2, -3), "operands must live in the same ring"),
+            (quartic_symbol, E(1, 0), G(3, 2), "operands must live in the same ring"),
+            (cubic_symbol, E(1, 0), G(3, 2), "cubic symbol needs an Eisenstein modulus"),
+            (quartic_symbol, G(1, 0), E(-2, -3), "quartic symbol needs a Gaussian modulus"),
+            (quartic_symbol, G(3, 2) * G(2, 0), G(3, 2),
+             "6+4i is divisible by 3+2i; symbol undefined"),
+            (cubic_symbol, E(4, 3) * E(0, 1), E(4, 3),
+             "-3+w is divisible by 4+3w; symbol undefined"),
+        ],
+    )
+    def test_public_symbols_still_check(self, symbol, x, q, message):
+        with pytest.raises(ValueError) as got:
+            symbol(x, q)
+        assert str(got.value) == message
 
 
 class TestReciprocity:

@@ -1,10 +1,19 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from resmat.cyclotomic import EisensteinInt, GaussianInt
+from resmat.cyclotomic import (
+    EisensteinInt,
+    GaussianInt,
+    cubic_symbol,
+    quartic_symbol,
+    same_ideal,
+)
 from resmat.errors import NotAResidueMatrixError, SearchExhaustedError
 from resmat.higher import (
+    _degree_one_primary_primes,
     cubic_matrix,
     cubic_witness,
     is_cubic_residue_matrix,
@@ -227,3 +236,97 @@ class TestWitnesses:
             for k, p in enumerate(primes):
                 want = (3, 2) if k in skew else (1, 0)
                 assert (p.a % 4, p.b % 4) == want
+
+
+def _witness_oracle(matrix, norm_limit):
+    """The restart-per-column scan: each column regenerates the candidates
+    from norm 3, skips chosen ideals by same_ideal and compares both symbol
+    directions through the validated public symbols."""
+    if matrix.m == 3:
+        kind, symbol, class_filter = "eisenstein", cubic_symbol, None
+    else:
+        kind, symbol = "gaussian", quartic_symbol
+        bd = quartic_block_form(matrix)
+        skew = set(bd.perm[: bd.s])
+
+        def class_filter(k, cand):
+            want = (3, 2) if k in skew else (1, 0)
+            return (cand.a % 4, cand.b % 4) == want
+
+    chosen = []
+    for k in range(matrix.n):
+        tried = 0
+        for cand in _degree_one_primary_primes(kind, norm_limit):
+            tried += 1
+            if any(same_ideal(cand, q) for q in chosen):
+                continue
+            if class_filter is not None and not class_filter(k, cand):
+                continue
+            if all(
+                symbol(cand, qj) == matrix.entries[k][j]
+                and symbol(qj, cand) == matrix.entries[j][k]
+                for j, qj in enumerate(chosen)
+            ):
+                chosen.append(cand)
+                break
+        else:
+            raise SearchExhaustedError(
+                f"no prime of norm <= {norm_limit} realizes column {k + 1}",
+                limit=norm_limit,
+                column=k + 1,
+                tried=tried,
+            )
+    return chosen
+
+
+@st.composite
+def admissible_higher_matrices(draw, max_n=5):
+    """A cubic (symmetric) matrix, or a quartic member: m_kj = m_jk + 2 inside
+    a random red set of size other than 1, m_kj = m_jk elsewhere."""
+    m = draw(st.sampled_from((3, 4)))
+    n = draw(st.integers(1, max_n))
+    red = [False] * n
+    if m == 4:
+        red = draw(
+            st.lists(st.booleans(), min_size=n, max_size=n).filter(
+                lambda r: sum(r) != 1
+            )
+        )
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = draw(st.integers(0, m - 1))
+            rows[i][j] = e
+            rows[j][i] = (e + 2) % 4 if red[i] and red[j] else e
+    return SignMatrix(m, tuple(tuple(r) for r in rows))
+
+
+HIGHER_ORACLE_LIMITS = (1, 4, 7, 12, 13, 100, 10**6)
+EIS_MATRIX = cubic_matrix(EIS_FIXTURE)
+GAU_MATRIX = quartic_matrix(GAU_FIXTURE)
+
+
+class TestWitnessSharedCandidates:
+    @settings(max_examples=200, deadline=None)
+    @given(admissible_higher_matrices(), st.sampled_from(HIGHER_ORACLE_LIMITS))
+    @example(EIS_MATRIX, 1)
+    @example(EIS_MATRIX, 7)
+    @example(EIS_MATRIX, 12)
+    @example(EIS_MATRIX, 13)
+    @example(GAU_MATRIX, 1)
+    @example(GAU_MATRIX, 7)
+    @example(GAU_MATRIX, 12)
+    @example(GAU_MATRIX, 13)
+    def test_matches_oracle(self, matrix, limit):
+        witness = cubic_witness if matrix.m == 3 else quartic_witness
+        try:
+            expected = _witness_oracle(matrix, limit)
+        except SearchExhaustedError as exc:
+            with pytest.raises(SearchExhaustedError) as got:
+                witness(matrix, limit)
+            assert str(got.value) == str(exc)
+            assert (got.value.limit, got.value.column, got.value.tried) == (
+                exc.limit, exc.column, exc.tried,
+            )
+        else:
+            assert witness(matrix, limit) == expected

@@ -2,15 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resmat.errors import SearchExhaustedError
 from resmat.rational import (
     MR_LIMIT,
-    crt,
     is_prime,
     jacobi,
     legendre,
     odd_prime_flags,
-    prime_in_progression,
     sieve_primes,
     sqrt_mod,
 )
@@ -159,71 +156,6 @@ class TestJacobi:
         if rest > 1:
             expected *= legendre(a, rest)
         assert jacobi(a, n) == expected
-
-
-class TestCrt:
-    def test_single(self):
-        assert crt([1], [4]) == 1
-
-    def test_pair(self):
-        assert crt([3, 1], [4, 3]) == 7
-
-    def test_reduction_identity(self):
-        assert crt([42], [17]) == 42 % 17
-
-    def test_non_coprime(self):
-        with pytest.raises(ValueError):
-            crt([1, 2], [4, 6])
-
-    @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=4), st.data())
-    def test_solves_all_congruences(self, residues, data):
-        pool = [3, 4, 5, 7, 11, 13, 17, 19]
-        moduli = data.draw(
-            st.lists(
-                st.sampled_from(pool),
-                min_size=len(residues),
-                max_size=len(residues),
-                unique=True,
-            )
-        )
-        x = crt(residues, moduli)
-        for r, m in zip(residues, moduli):
-            assert x % m == r % m
-        from math import prod
-
-        assert 0 <= x < prod(moduli)
-
-
-class TestPrimeInProgression:
-    def test_exceeds_modulus(self):
-        assert prime_in_progression(3, 4, 100) == 7
-        assert prime_in_progression(1, 4, 100) == 5
-
-    def test_non_coprime(self):
-        with pytest.raises(ValueError):
-            prime_in_progression(2, 4, 100)
-
-    def test_exhausted(self):
-        with pytest.raises(SearchExhaustedError):
-            prime_in_progression(1, 4, 4)
-
-    def test_min_exclusive_override(self):
-        assert prime_in_progression(3, 4, 100, min_exclusive=2) == 3
-
-    @given(st.integers(3, 200), st.integers(1, 200))
-    def test_minimality_by_rescan(self, modulus, residue):
-        from math import gcd
-
-        if gcd(residue, modulus) != 1:
-            with pytest.raises(ValueError):
-                prime_in_progression(residue, modulus, 10**6)
-            return
-        p = prime_in_progression(residue, modulus, 10**6)
-        assert is_prime(p)
-        assert p % modulus == residue % modulus
-        assert p > max(modulus, 2)
-        for c in range(residue % modulus, p, modulus):
-            assert c <= max(modulus, 2) or not is_prime(c)
 
 
 class TestSqrtMod:
