@@ -55,8 +55,7 @@ class GaussianInt(Record):
         return self.norm() == 1
 
     def units(self):
-        # 1, i, -1, -i
-        return (GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(-1, 0), GaussianInt(0, -1))
+        return _GAUSSIAN_UNITS
 
     def root_of_unity(self, e):
         return self.units()[e % 4]
@@ -110,15 +109,7 @@ class EisensteinInt(Record):
         return self.norm() == 1
 
     def units(self):
-        # 1, w, w^2, -1, -w, -w^2
-        return (
-            EisensteinInt(1, 0),
-            EisensteinInt(0, 1),
-            EisensteinInt(-1, -1),
-            EisensteinInt(-1, 0),
-            EisensteinInt(0, -1),
-            EisensteinInt(1, 1),
-        )
+        return _EISENSTEIN_UNITS
 
     def root_of_unity(self, e):
         return self.units()[e % 3]
@@ -131,6 +122,23 @@ class EisensteinInt(Record):
 
     def __str__(self):
         return _format_element(self.a, self.b, "w")
+
+
+# The units, built once: records are immutable, so every element shares them.
+_GAUSSIAN_UNITS = (  # 1, i, -1, -i
+    GaussianInt(1, 0),
+    GaussianInt(0, 1),
+    GaussianInt(-1, 0),
+    GaussianInt(0, -1),
+)
+_EISENSTEIN_UNITS = (  # 1, w, w^2, -1, -w, -w^2
+    EisensteinInt(1, 0),
+    EisensteinInt(0, 1),
+    EisensteinInt(-1, -1),
+    EisensteinInt(-1, 0),
+    EisensteinInt(0, -1),
+    EisensteinInt(1, 1),
+)
 
 
 def _format_element(a, b, letter):
@@ -280,10 +288,20 @@ def primary_generator(x):
         raise ValueError(f"not a prime element: {x}")
     if x.norm() % _ramified(x) == 0:
         raise RamifiedPrimeError(f"{x} divides {_ramified(x)}; no primary associate")
-    hits = [x * u for u in x.units() if is_primary(x * u)]
-    if len(hits) != 1:
-        raise RuntimeError(f"expected exactly one primary associate of {x}, got {hits}")
-    return hits[0]
+    return _primary_associate(x)
+
+
+def _primary_associate(x):
+    """The primary associate of x, with no primality or ramification check.
+
+    x must be a prime element prime to the ramified prime: primary_generator
+    checks that first, and the witness search builds only such elements.
+    """
+    for u in x.units():
+        y = x * u
+        if is_primary(y):
+            return y
+    raise RuntimeError(f"no associate of {x} is primary; invalid input slipped through")
 
 
 def same_ideal(x, y):

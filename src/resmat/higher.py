@@ -2,23 +2,22 @@
 
 from __future__ import annotations
 
-from itertools import count
+from itertools import compress, count
 
 from .cyclotomic import (
     EisensteinInt,
     GaussianInt,
+    _primary_associate,
     _residue_symbol,
     cubic_symbol,
-    gcd_element,
     is_primary,
     is_prime_element,
-    primary_generator,
     quartic_symbol,
 )
 from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import SignMatrix
-from .qr import _block_decomposition, split_size
-from .rational import is_prime, sqrt_mod
+from .qr import _SIEVE_START, _block_decomposition, split_size
+from .rational import odd_prime_flags, sqrt_mod
 from .records import Record, setfield
 
 DEFAULT_NORM_LIMIT = 10**6
@@ -140,37 +139,63 @@ def quartic_block_form(matrix):
 # first Eisenstein candidate and -1+2i as the first Gaussian one.
 
 
+def _split_primes(step, limit):
+    """The primes p = 1 (mod step) up to limit, ascending, for an even step.
+
+    They are read off an odd-only sieve that starts at qr._SIEVE_START and
+    doubles up to limit, as in qr.witness_primes, so none needs a test.
+    """
+    lo = 1
+    bound = max(0, min(_SIEVE_START, limit))
+    while True:
+        flags = odd_prime_flags(bound)
+        yield from compress(
+            range(lo, bound + 1, step), memoryview(flags)[lo // 2 :: step // 2]
+        )
+        if bound >= limit:
+            return
+        lo += step * len(range(lo, bound + 1, step))
+        bound = min(2 * bound, limit)
+
+
+def _prime_over(ring, p, r):
+    """The primary prime of norm p dividing p and zeta - r, zeta = w resp. i.
+
+    Euclid on (p, r), stopped at the first remainder x below sqrt(p), keeps
+    x = t*r (mod p) with |t| < sqrt(p) (Cohen, GTM 138, Alg. 1.5.2).  So
+    x - t*zeta lies in the prime ideal (p, zeta - r), and its norm is a
+    nonzero multiple of p below 2p in Z[i] and below 3p in Z[w], where 2p is
+    impossible (2 is inert, so an even norm is a multiple of 4).  The norm
+    is exactly p, so the element generates the ideal.
+    """
+    a, x, s, t = p, r, 0, 1  # a = s*r and x = t*r (mod p)
+    while x * x > p:
+        q = a // x
+        a, x, s, t = x, a - q * x, t, s - q * t
+    gen = ring(x, -t)
+    if gen.norm() != p:
+        raise RuntimeError(f"{gen} over ({p}, {r}) does not have norm {p}")
+    return _primary_associate(gen)
+
+
 def _degree_one_primary_primes(kind, norm_limit):
     if kind == "eisenstein":
-        residue, ring, disc = 1, EisensteinInt, 3
+        ring, step = EisensteinInt, 6  # the odd p = 1 (mod 3)
 
         def roots(p):
             r = sqrt_mod(p - 3, p)  # sqrt(-3)
             a = (r - 1) * pow(2, -1, p) % p
             return (a, (-1 - a) % p)
-
-        def element(r):
-            return EisensteinInt(0, 1) - EisensteinInt(r, 0)
     else:
-        residue, ring, disc = 1, GaussianInt, 4
+        ring, step = GaussianInt, 4
 
         def roots(p):
             r = sqrt_mod(p - 1, p)  # sqrt(-1)
             return (r, p - r)
 
-        def element(r):
-            return GaussianInt(-r, 1)  # i - r
-
-    p = 2
-    while True:
-        p += 1
-        if p > norm_limit:
-            return
-        if p % disc != residue % disc or not is_prime(p):
-            continue
+    for p in _split_primes(step, norm_limit):
         for r in sorted(roots(p), reverse=True):
-            q = gcd_element(ring(p, 0), element(r))
-            yield primary_generator(q)
+            yield _prime_over(ring, p, r)
 
 
 def _scan_witnesses(matrix, kind, norm_limit, class_filter=None):

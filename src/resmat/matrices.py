@@ -136,26 +136,6 @@ class BlockDecomposition(Record):
 # Permutations are tuples of 0-based images: sigma[i] is the image of i.
 
 
-def identity_perm(n):
-    return tuple(range(n))
-
-
-def compose(sigma, tau):
-    """The permutation acting as tau after sigma in conjugation.
-
-    Satisfies conjugate(M, compose(sigma, tau)) ==
-    conjugate(conjugate(M, tau), sigma).
-    """
-    return tuple(tau[sigma[i]] for i in range(len(sigma)))
-
-
-def inverse_perm(sigma):
-    inv = [0] * len(sigma)
-    for i, v in enumerate(sigma):
-        inv[v] = i
-    return tuple(inv)
-
-
 def _check_perm(sigma, n):
     if len(sigma) != n or sorted(sigma) != list(range(n)):
         raise ValueError(f"not a permutation of 0..{n - 1}: {sigma!r}")

@@ -140,7 +140,8 @@ def witness_primes(matrix, limit):
     skew = set(bd.perm[: bd.s])
     signs = matrix.signs()
     primes = []
-    bound = min(_SIEVE_START, limit)
+    # a limit below 0 sieves nothing and exhausts like the limits 0..2
+    bound = max(0, min(_SIEVE_START, limit))
     flags = odd_prime_flags(bound)
     for k in range(matrix.n):
         row = signs[k]
@@ -158,7 +159,7 @@ def witness_primes(matrix, limit):
                     found = p
                     break
             else:
-                if bound == limit:
+                if bound >= limit:
                     raise SearchExhaustedError(
                         f"no prime <= {limit} realizes column {k + 1}",
                         limit=limit,
@@ -306,24 +307,3 @@ def from_config_graph(graph):
     for (i, j), v in graph.labels:
         rows[i][j] = rows[j][i] = v
     return SignMatrix.from_signs(rows)
-
-
-def enumerate_config_graphs(n):
-    """All configuration graphs on n labeled vertices (canonical colorings)."""
-    red_sets = [frozenset({0})]
-    for size in range(2, n + 1):
-        red_sets.extend(frozenset(c) for c in itertools.combinations(range(n), size))
-    for red in red_sets:
-        rr = [(i, j) for i in sorted(red) for j in sorted(red) if i < j]
-        other = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not (i in red and j in red)
-        ]
-        for orient in itertools.product((False, True), repeat=len(rr)):
-            directed = frozenset(
-                (j, i) if flip else (i, j) for (i, j), flip in zip(rr, orient)
-            )
-            for labs in itertools.product((1, -1), repeat=len(other)):
-                yield ConfigGraph(n, red, directed, tuple(zip(other, labs)))

@@ -1,19 +1,26 @@
 import random
+import sys
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from resmat import cyclotomic, rational
 from resmat.cyclotomic import (
     EisensteinInt,
     GaussianInt,
     cubic_symbol,
+    gcd_element,
+    is_primary,
+    primary_generator,
     quartic_symbol,
     same_ideal,
 )
 from resmat.errors import NotAResidueMatrixError, SearchExhaustedError
 from resmat.higher import (
     _degree_one_primary_primes,
+    _prime_over,
     cubic_matrix,
     cubic_witness,
     is_cubic_residue_matrix,
@@ -23,7 +30,7 @@ from resmat.higher import (
     quartic_witness,
 )
 from resmat.matrices import SignMatrix, conjugate
-from resmat.rational import is_prime
+from resmat.rational import is_prime, sqrt_mod
 
 EIS_FIXTURE = [EisensteinInt(-2, -3), EisensteinInt(4, 3)]
 GAU_FIXTURE = [GaussianInt(-1, 2), GaussianInt(3, 2)]
@@ -238,10 +245,126 @@ class TestWitnesses:
                 assert (p.a % 4, p.b % 4) == want
 
 
+def _split_roots(kind, p):
+    """The roots of w^2 + w + 1 resp. x^2 + 1 mod p, larger first."""
+    if kind == "eisenstein":
+        r = sqrt_mod(p - 3, p)  # sqrt(-3)
+        a = (r - 1) * pow(2, -1, p) % p
+        roots = (a, (-1 - a) % p)
+    else:
+        r = sqrt_mod(p - 1, p)  # sqrt(-1)
+        roots = (r, p - r)
+    return sorted(roots, reverse=True)
+
+
+def _gcd_prime_over(kind, p, r):
+    """The primary generator of the ideal (p, zeta - r), by a gcd in the ring."""
+    ring = EisensteinInt if kind == "eisenstein" else GaussianInt
+    return primary_generator(gcd_element(ring(p, 0), ring(-r, 1)))
+
+
+def _candidates_oracle(kind, norm_limit):
+    """The degree-1 primary primes by trial: every integer p from 3 up, an
+    is_prime test, and a gcd in the ring for each root."""
+    modulus = 3 if kind == "eisenstein" else 4
+    p = 2
+    while True:
+        p += 1
+        if p > norm_limit:
+            return
+        if p % modulus != 1 or not is_prime(p):
+            continue
+        for r in _split_roots(kind, p):
+            yield _gcd_prime_over(kind, p, r)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("kind", ["eisenstein", "gaussian"])
+    def test_first_candidates_match_oracle(self, kind):
+        want = list(islice(_candidates_oracle(kind, 10**6), 20000))
+        got = list(islice(_degree_one_primary_primes(kind, 10**6), 20000))
+        assert len(want) == 20000
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["eisenstein", "gaussian"])
+    @pytest.mark.parametrize(
+        # the sieve starts at 4096 and doubles to 8192
+        "norm_limit", [-5, 0, 1, 2, 3, 7, 13, 4095, 4096, 4097, 8192, 8193],
+    )
+    def test_limits_match_oracle(self, kind, norm_limit):
+        got = list(_degree_one_primary_primes(kind, norm_limit))
+        assert got == list(_candidates_oracle(kind, norm_limit))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(["eisenstein", "gaussian"]), st.integers(7, 10**15))
+    @example("eisenstein", 7)
+    @example("gaussian", 5)
+    def test_euclid_matches_gcd_at_large_norm(self, kind, start):
+        # the first prime p = 1 (mod 3) resp. (mod 4) from start, far past
+        # any sieve bound the search reaches
+        step = 6 if kind == "eisenstein" else 4
+        p = start + (1 - start) % step
+        while not is_prime(p):
+            p += step
+        ring = EisensteinInt if kind == "eisenstein" else GaussianInt
+        for r in _split_roots(kind, p):
+            got = _prime_over(ring, p, r)
+            assert got == _gcd_prime_over(kind, p, r)
+            assert got.norm() == p
+            assert is_primary(got)
+
+
+def _count_calls(monkeypatch, func):
+    """Rebind func in every resmat module that binds it; return the call list."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return func(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "resmat" or name.startswith("resmat."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "witness, post",
+    [(cubic_witness, cubic_matrix), (quartic_witness, quartic_matrix)],
+)
+def test_search_proves_no_candidate_prime(monkeypatch, witness, post):
+    # the candidates come off the sieve and are built by Euclid on (p, r),
+    # so every primality test of a search is one of its post-condition's
+    if witness is cubic_witness:
+        members = symmetric_cubic_matrices(4)
+    else:
+        members = quartic_members(3)
+    mat = random.Random(5).choice(list(members))
+    gcd_calls = _count_calls(monkeypatch, cyclotomic.gcd_element)
+    prime_calls = _count_calls(monkeypatch, rational.is_prime)
+    chosen = witness(mat)
+    search_tests = len(prime_calls)
+    prime_calls.clear()
+    assert post(chosen) == mat
+    assert gcd_calls == []
+    assert search_tests == len(prime_calls) > 0
+
+
+@pytest.mark.parametrize("norm_limit", [-5, 0, 1, 2])
+@pytest.mark.parametrize("witness", [cubic_witness, quartic_witness])
+def test_limit_below_three_exhausts_first_column(witness, norm_limit):
+    mat = SignMatrix(3 if witness is cubic_witness else 4, ((None,),))
+    with pytest.raises(SearchExhaustedError) as got:
+        witness(mat, norm_limit)
+    assert (got.value.limit, got.value.column, got.value.tried) == (norm_limit, 1, 0)
+
+
 def _witness_oracle(matrix, norm_limit):
     """The restart-per-column scan: each column regenerates the candidates
-    from norm 3, skips chosen ideals by same_ideal and compares both symbol
-    directions through the validated public symbols."""
+    by trial from norm 3, skips chosen ideals by same_ideal and compares both
+    symbol directions through the validated public symbols."""
     if matrix.m == 3:
         kind, symbol, class_filter = "eisenstein", cubic_symbol, None
     else:
@@ -256,7 +379,7 @@ def _witness_oracle(matrix, norm_limit):
     chosen = []
     for k in range(matrix.n):
         tried = 0
-        for cand in _degree_one_primary_primes(kind, norm_limit):
+        for cand in _candidates_oracle(kind, norm_limit):
             tried += 1
             if any(same_ideal(cand, q) for q in chosen):
                 continue

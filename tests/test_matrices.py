@@ -10,15 +10,32 @@ from resmat.matrices import (
     COUNT_MAX_N,
     SignMatrix,
     canonical_form,
-    compose,
     conjugate,
     count_skew_classes,
     count_symmetric_classes,
     equivalence_classes,
-    identity_perm,
-    inverse_perm,
     orbit_class_count,
 )
+
+
+def identity_perm(n):
+    return tuple(range(n))
+
+
+def compose(sigma, tau):
+    """The permutation acting as tau after sigma in conjugation.
+
+    Satisfies conjugate(M, compose(sigma, tau)) ==
+    conjugate(conjugate(M, tau), sigma).
+    """
+    return tuple(tau[sigma[i]] for i in range(len(sigma)))
+
+
+def inverse_perm(sigma):
+    inv = [0] * len(sigma)
+    for i, v in enumerate(sigma):
+        inv[v] = i
+    return tuple(inv)
 
 
 def sign_matrices(n, m=2):

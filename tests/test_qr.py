@@ -28,7 +28,6 @@ from resmat.qr import (
     block_form,
     count_qr_classes,
     count_qr_matrices,
-    enumerate_config_graphs,
     fixed_qr,
     from_config_graph,
     is_qr_matrix,
@@ -313,6 +312,14 @@ class TestWitnessSieveWalk:
             [p for p in sieve_primes(max(limit, 2)) if p % 4 == target]
         )
 
+    @pytest.mark.parametrize("limit", [-5, 0, 1, 2])
+    def test_limit_below_three_exhausts_first_column(self, limit):
+        # a negative limit exhausts like 0, with no sieve of a negative bound
+        with pytest.raises(SearchExhaustedError) as got:
+            witness_primes(M_3_7_13, limit)
+        assert (got.value.limit, got.value.column, got.value.tried) == (limit, 1, 0)
+        assert str(got.value) == f"no prime <= {limit} realizes column 1"
+
 
 def _run_optimized_cli(argv, stdin):
     env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
@@ -441,6 +448,27 @@ class TestClosure:
             verdict = is_qr_matrix(mat).verdict
             assert is_qr_matrix(mat.transpose()).verdict == verdict
             assert is_qr_matrix(mat.negate()).verdict == verdict
+
+
+def enumerate_config_graphs(n):
+    """All configuration graphs on n labeled vertices (canonical colorings)."""
+    red_sets = [frozenset({0})]
+    for size in range(2, n + 1):
+        red_sets.extend(frozenset(c) for c in itertools.combinations(range(n), size))
+    for red in red_sets:
+        rr = [(i, j) for i in sorted(red) for j in sorted(red) if i < j]
+        other = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not (i in red and j in red)
+        ]
+        for orient in itertools.product((False, True), repeat=len(rr)):
+            directed = frozenset(
+                (j, i) if flip else (i, j) for (i, j), flip in zip(rr, orient)
+            )
+            for labs in itertools.product((1, -1), repeat=len(other)):
+                yield ConfigGraph(n, red, directed, tuple(zip(other, labs)))
 
 
 class TestConfigGraph:
