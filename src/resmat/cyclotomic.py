@@ -151,13 +151,11 @@ def _format_element(a, b, letter):
     return f"{a}{sign}{unit}"
 
 
-_ELEMENT_RE = re.compile(
-    r"""^\s*
-        (?:(?P<a>[+-]?\d+)\s*)?                    # rational part
-        (?:(?P<sign>[+-])?\s*(?P<b>\d*)\s*(?P<letter>[iw]))?  # i/w part
-        \s*$""",
-    re.VERBOSE,
-)
+# compiled on first use by re's own cache, so only element parsing pays for it
+_ELEMENT_PATTERN = r"""^\s*
+    (?:(?P<a>[+-]?\d+)\s*)?                    # rational part
+    (?:(?P<sign>[+-])?\s*(?P<b>\d*)\s*(?P<letter>[iw]))?  # i/w part
+    \s*$"""
 
 
 def parse_element(text, kind):
@@ -165,7 +163,7 @@ def parse_element(text, kind):
 
     kind is 'gaussian' or 'eisenstein'.
     """
-    m = _ELEMENT_RE.match(text)
+    m = re.match(_ELEMENT_PATTERN, text, re.VERBOSE)
     if not m or (m.group("a") is None and m.group("letter") is None):
         raise ValueError(f"cannot parse element: {text!r}")
     a = int(m.group("a")) if m.group("a") is not None else 0

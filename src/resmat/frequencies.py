@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import isqrt
 
-from .matrices import SignMatrix, canonical_form
-from .qr import is_qr_matrix, qr_matrix_from_primes
+from .matrices import SignMatrix
+from .qr import qr_matrix_from_primes
 from .rational import is_prime, odd_prime_flags
 # not called here since the scan reads (p/q) from its masks; still bound
 # because perfbench/test_perfbench.py checks that the tracer rebinds it here
@@ -57,10 +56,13 @@ class FrequencyReport(Record):
         return tuple(Fraction(c, self.total) for c in self.counts)
 
 
+_PAIRS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
+
+
 def _code_of_signs(signs):
-    # 6-bit encoding of a 3x3 sign matrix: pairs (0,1),(1,0),(0,2),(2,0),(1,2),(2,1)
+    # 6-bit code of a 3x3 sign matrix: bit t is set when entry _PAIRS[t] is -1
     code = 0
-    for t, (i, j) in enumerate(((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))):
+    for t, (i, j) in enumerate(_PAIRS):
         if signs[i][j] == -1:
             code |= 1 << t
     return code
@@ -68,35 +70,38 @@ def _code_of_signs(signs):
 
 def _matrix_of_code(code):
     rows = [[0] * 3 for _ in range(3)]
-    for t, (i, j) in enumerate(((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))):
+    for t, (i, j) in enumerate(_PAIRS):
         rows[i][j] = -1 if (code >> t) & 1 else 1
     return SignMatrix.from_signs(rows)
 
 
-@lru_cache(maxsize=1)
-def _class_table():
-    """Maps each QR 3x3 code to its class_id; also returns representatives."""
-    reps = {}
-    for code in range(64):
-        mat = _matrix_of_code(code)
-        if is_qr_matrix(mat).verdict:
-            reps.setdefault(canonical_form(mat), []).append(code)
-    ordered = sorted(reps, key=lambda m: m._key())
-    if len(ordered) != NUM_CLASSES:
-        raise RuntimeError(
-            f"expected {NUM_CLASSES} classes of 3x3 QR matrices, got {len(ordered)}"
-        )
-    table = {}
-    for class_id, rep in enumerate(ordered, start=1):
-        for code in reps[rep]:
-            table[code] = class_id
-    return table, tuple(ordered)
+# The codes of the 40 QR 3x3 sign matrices, grouped by configuration class in
+# class_id order; each group starts with the code of the class's canonical
+# form.  tests/test_frequencies.py derives the same table by classifying all
+# 64 codes with is_qr_matrix and canonical_form.
+_CLASS_CODES = (
+    (0,),
+    (32, 1, 2, 4, 8, 16),
+    (48, 3, 12),
+    (56, 7, 13, 19, 44, 50),
+    (42, 21, 22, 26, 37, 41),
+    (52, 11, 14, 28, 35, 49),
+    (60, 15, 51),
+    (38, 25),
+    (62, 31, 47, 55, 59, 61),
+    (63,),
+)
+_CLASS_OF_CODE = {
+    code: class_id
+    for class_id, codes in enumerate(_CLASS_CODES, start=1)
+    for code in codes
+}
+_REPRESENTATIVES = tuple(_matrix_of_code(codes[0]) for codes in _CLASS_CODES)
 
 
 def class_representatives():
     """The 10 canonical class representatives in class_id order."""
-    _, reps = _class_table()
-    return [ConfigClass(i + 1, rep) for i, rep in enumerate(reps)]
+    return [ConfigClass(i + 1, rep) for i, rep in enumerate(_REPRESENTATIVES)]
 
 
 def configuration_class(p, q, r):
@@ -107,10 +112,9 @@ def configuration_class(p, q, r):
     for v in primes:
         if v % 2 == 0 or not is_prime(v):
             raise ValueError(f"not an odd prime: {v}")
-    table, reps = _class_table()
     mat = qr_matrix_from_primes(primes)
-    class_id = table[_code_of_signs(mat.signs())]
-    return ConfigClass(class_id, reps[class_id - 1])
+    class_id = _CLASS_OF_CODE[_code_of_signs(mat.signs())]
+    return ConfigClass(class_id, _REPRESENTATIVES[class_id - 1])
 
 
 def exact_frequencies():
@@ -119,7 +123,6 @@ def exact_frequencies():
     Each prime is independently 1 or 3 mod 4, and each unordered pair has one
     free symbol bit; the reverse symbol is forced by quadratic reciprocity.
     """
-    table, _ = _class_table()
     counts = [0] * NUM_CLASSES
     for classes in itertools.product((1, 3), repeat=3):
         for bits in itertools.product((1, -1), repeat=3):
@@ -129,7 +132,7 @@ def exact_frequencies():
                 both3 = classes[i] == 3 and classes[j] == 3
                 rows[j][i] = -b if both3 else b
             code = _code_of_signs(rows)
-            counts[table[code] - 1] += 1
+            counts[_CLASS_OF_CODE[code] - 1] += 1
     return FrequencyReport(tuple(counts), 64)
 
 
@@ -151,17 +154,17 @@ def _periodic_bitset(pattern, period, size):
     return pattern & ((1 << size) - 1)
 
 
-def _nonresidue_pattern(p):
+def _nonresidue_pattern(p, squares):
     """Int of 2p bits, bit k set when (p/r) = -1 for the odd integer r = 2k + 1.
 
     By quadratic reciprocity (p/r) = (r/p) * (-1)^((p-1)/2 * (r-1)/2), so it
     depends only on r mod p (through the squares mod p) and on r mod 4: it
     is the odd half of a pattern over r mod 4p, that is a pattern over k
-    mod 2p.
+    mod 2p.  squares lists 1, 4, 9, ..., at least up to ((p - 1) / 2)^2.
     """
     residue = bytearray(b"0") * p
-    for k in range(1, (p + 1) // 2):
-        residue[k * k % p] = 49  # "1"
+    for s in squares[: (p - 1) // 2]:
+        residue[s % p] = 49  # "1"
     nonresidue = residue.translate(bytes.maketrans(b"01", b"10"))
     nonresidue[0] = 48  # "0": (p/p) = 0
     pattern = nonresidue * 4
@@ -184,7 +187,6 @@ def empirical_scan(product_bound):
         raise ValueError(
             f"product bound must be >= {MIN_PRODUCT_BOUND}, got {product_bound}"
         )
-    table, _ = _class_table()
     flags = odd_prime_flags(product_bound // 15)  # r <= bound / (3 * 5)
     size = len(flags)
     # p and q satisfy x^2 < bound / 3, and p < q < r
@@ -193,11 +195,13 @@ def empirical_scan(product_bound):
     primes_bits = _bitset(flags.translate(bytes.maketrans(b"\0\1", b"01")))
     del flags  # one byte per odd integer, 8 times the size of primes_bits
     three_mod_4 = _periodic_bitset(0b10, 2, size)
+    # k^2 for every k up to (x - 1) / 2 of the largest x, shared by the masks
+    squares = [k * k for k in range(1, top // 2 + 1)]
     # N_x, bit k set when (x / 2k+1) = -1, up to the widest window x is in:
     # bound // 3x as q with p = 3, and size for x = p = 3
     nonres = [
         _periodic_bitset(
-            _nonresidue_pattern(x),
+            _nonresidue_pattern(x, squares),
             2 * x,
             min(size, (product_bound // (3 * x) + 1) // 2),
         )
@@ -249,5 +253,5 @@ def empirical_scan(product_bound):
         for c, n in enumerate(cells):
             x, y, z = c & 1, c >> 1 & 1, c >> 2
             code = pair | x << 2 | (x ^ (p3 & z)) << 3 | y << 4 | (y ^ (q3 & z)) << 5
-            counts[table[code] - 1] += n
+            counts[_CLASS_OF_CODE[code] - 1] += n
     return FrequencyReport(tuple(counts), sum(counts))

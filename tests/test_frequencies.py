@@ -12,7 +12,10 @@ from resmat.frequencies import (
     MIN_PRODUCT_BOUND,
     NUM_CLASSES,
     FrequencyReport,
-    _class_table,
+    _CLASS_CODES,
+    _CLASS_OF_CODE,
+    _code_of_signs,
+    _matrix_of_code,
     _nonresidue_pattern,
     _periodic_bitset,
     class_representatives,
@@ -25,6 +28,9 @@ from resmat.qr import is_qr_matrix, qr_matrix_from_primes
 from resmat.rational import legendre, sieve_primes
 
 ORACLE_MAX_BOUND = 2 * 10**5
+
+# 1, 4, ..., 1000^2: enough squares for _nonresidue_pattern(x) with x <= 2001
+SQUARES = [k * k for k in range(1, 1001)]
 
 
 def _triples(bound):
@@ -39,19 +45,42 @@ def _triples(bound):
 
 def _scan_oracle(product_bound):
     """The per-triple scan: six Legendre symbols and a class lookup per triple."""
-    table, _ = _class_table()
     counts = [0] * NUM_CLASSES
     for p, q, r in _triples(product_bound):
         pairs = ((p, q), (q, p), (p, r), (r, p), (q, r), (r, q))
         code = sum(1 << t for t, (a, b) in enumerate(pairs) if legendre(a, b) == -1)
-        counts[table[code] - 1] += 1
+        counts[_CLASS_OF_CODE[code] - 1] += 1
     return FrequencyReport(tuple(counts), sum(counts))
 
 
 TRIPLE_PRODUCTS = sorted(p * q * r for p, q, r in _triples(ORACLE_MAX_BOUND))
 
 
+def _enumerated_class_table():
+    """The class table by enumeration: every QR code among the 64 3x3 sign
+    codes, grouped by canonical form, classes sorted by SignMatrix._key."""
+    groups = {}
+    for code in range(64):
+        mat = _matrix_of_code(code)
+        if is_qr_matrix(mat).verdict:
+            groups.setdefault(canonical_form(mat), []).append(code)
+    reps = sorted(groups, key=lambda m: m._key())
+    table = {
+        code: class_id for class_id, rep in enumerate(reps, start=1) for code in groups[rep]
+    }
+    return table, reps
+
+
 class TestClassTable:
+    def test_constant_matches_enumeration(self):
+        table, reps = _enumerated_class_table()
+        assert _CLASS_OF_CODE == table
+        assert len(reps) == NUM_CLASSES
+        assert [c.representative for c in class_representatives()] == reps
+        # each group starts with the code of its canonical form
+        for codes, rep in zip(_CLASS_CODES, reps):
+            assert codes[0] == _code_of_signs(rep.signs())
+
     def test_ten_representatives(self):
         reps = class_representatives()
         assert [c.class_id for c in reps] == list(range(1, NUM_CLASSES + 1))
@@ -193,7 +222,6 @@ class TestEmpiricalScan:
     def test_peak_memory_at_1e8(self):
         # the peak, 7.1 MB, is the sieve's byte flags and their ASCII copy
         # (3.3 MB each); one more full-length copy, say an ASCII mask, is over
-        _class_table()
         tracemalloc.start()
         try:
             empirical_scan(10**8)
@@ -217,7 +245,7 @@ class TestPeriodicBitset:
             (0b101, 3),
             (0b0110, 4),
             (0b1000000001101, 13),
-            (_nonresidue_pattern(7), 14),
+            (_nonresidue_pattern(7, SQUARES), 14),
         ],
     )
     def test_matches_bit_by_bit_repeat(self, pattern, period):
@@ -235,7 +263,7 @@ class TestNonresidueMask:
         # and clear at r = x, where the symbol is 0
         odd = sieve_primes(10**4)[1:]
         for x in odd[: bisect_right(odd, 2000)]:
-            mask = _periodic_bitset(_nonresidue_pattern(x), 2 * x, 10**4 // 2)
+            mask = _periodic_bitset(_nonresidue_pattern(x, SQUARES), 2 * x, 10**4 // 2)
             for r in odd:
                 want = r != x and legendre(x, r) == -1
                 assert (mask >> (r - 1) // 2 & 1) == want, (x, r)

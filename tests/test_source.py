@@ -90,6 +90,39 @@ def test_cli_import_builds_no_parser():
     assert proc.stdout.split() == ["0", "40", "1"]
 
 
+def test_cold_start_enumerates_nothing():
+    # the ten configuration classes are a literal table and the element regex
+    # is compiled on first use, so importing the CLI and filling its tables
+    # neither classifies sign matrices nor compiles a pattern
+    code = (
+        "import re, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "called = set()\n"
+        "def profile(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        called.add(frame.f_code.co_name)\n"
+        "sys.setprofile(profile)\n"
+        "import resmat.cli\n"
+        "from resmat import frequencies\n"
+        "frequencies.class_representatives()\n"
+        "sys.setprofile(None)\n"
+        "print(sorted(called & {'canonical_form', 'conjugate', 'is_qr_matrix'}))\n"
+        "print(sorted(\n"
+        "    f'{name}.{attr}'\n"
+        "    for name, module in list(sys.modules.items())\n"
+        "    if name == 'resmat' or name.startswith('resmat.')\n"
+        "    for attr, value in vars(module).items()\n"
+        "    if isinstance(value, re.Pattern)\n"
+        "))\n"
+        "print('class_representatives' in called)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code, str(PACKAGE_DIR.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout.split("\n")[:3] == ["[]", "[]", "True"]
+
+
 def test_traced_names_exist():
     # the benchmark's tracer getattrs every name in its TRACED table, so a
     # deleted or renamed function breaks `perfbench/run.py --trace 1`
