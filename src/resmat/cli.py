@@ -12,6 +12,8 @@ from functools import lru_cache
 
 from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
+    _check_coprime,
+    _residue_symbol,
     is_primary,
     is_prime_element,
     parse_element,
@@ -145,15 +147,10 @@ def cmd_witness(args):
             primes = higher.quartic_witness(matrix, limit)
     for p in primes:
         print(p)
-    # recompute as an end-to-end verification
-    if args.m == 2:
-        again = qr.qr_matrix_from_primes(primes)
-    elif args.m == 3:
-        again = higher.cubic_matrix(primes)
-    else:
-        again = higher.quartic_matrix(primes)
-    print("VERIFIED" if again == matrix else "MISMATCH")
-    return 0 if again == matrix else 1
+    # each witness search has recomputed the primes' matrix, every symbol in
+    # both directions, and raises RuntimeError when it differs from the input
+    print("VERIFIED")
+    return 0
 
 
 def cmd_count(args):
@@ -240,24 +237,18 @@ def cmd_symbol(args):
     num = parse_element(args.num, ring)
     den = parse_element(args.den, ring)
     if args.primary:
-        den = primary_generator(den)
+        den = primary_generator(den)  # a primary prime, or it raises
         if not (num.is_zero() or num.is_unit()) and is_prime_element(num):
             try:
                 num = primary_generator(num)
             except RamifiedPrimeError:
                 pass
         print(f"primary: {num} {den}")
-    if not is_prime_element(den) or not is_primary(den):
+    elif not is_prime_element(den) or not is_primary(den):
         raise ValueError(f"denominator must be a primary prime element: {den}")
-    if kind == "cubic":
-        from .cyclotomic import cubic_symbol
-
-        e = cubic_symbol(num, den)
-    else:
-        from .cyclotomic import quartic_symbol
-
-        e = quartic_symbol(num, den)
-    print(_entry_token(m, e))
+    # den is a primary prime of num's ring: only coprimality is left to check
+    _check_coprime(num, den)
+    print(_entry_token(m, _residue_symbol(num, den, m)))
     return 0
 
 
@@ -319,17 +310,18 @@ def build_parser():
 
 def _join_value_flags(argv):
     # fold "--num -2-3w" into "--num=-2-3w" so argparse does not read the
-    # element as an option
+    # element as an option; a missing value and "--" (the end of options)
+    # stay apart, so argparse reports the missing value as a usage error
     out = []
     it = iter(argv)
     for tok in it:
+        out.append(tok)
         if tok in ("--num", "--den"):
-            try:
-                out.append(f"{tok}={next(it)}")
-            except StopIteration:
-                out.append(tok)
-        else:
-            out.append(tok)
+            value = next(it, None)
+            if value == "--":
+                out.append(value)
+            elif value is not None:
+                out[-1] = f"{tok}={value}"
     return out
 
 

@@ -57,9 +57,6 @@ class GaussianInt(Record):
     def units(self):
         return _GAUSSIAN_UNITS
 
-    def root_of_unity(self, e):
-        return self.units()[e % 4]
-
     def one(self):
         return GaussianInt(1, 0)
 
@@ -110,9 +107,6 @@ class EisensteinInt(Record):
 
     def units(self):
         return _EISENSTEIN_UNITS
-
-    def root_of_unity(self, e):
-        return self.units()[e % 3]
 
     def one(self):
         return EisensteinInt(1, 0)
@@ -325,6 +319,10 @@ def _check_symbol_operands(x, q):
         raise ValueError("operands must live in the same ring")
     if not is_prime_element(q) or not is_primary(q):
         raise ValueError(f"modulus must be a primary prime element, got {q}")
+    _check_coprime(x, q)
+
+
+def _check_coprime(x, q):
     if divides(q, x):
         raise ValueError(f"{x} is divisible by {q}; symbol undefined")
 
@@ -333,11 +331,20 @@ def _residue_symbol(x, q, m):
     """The exponent e in range(m) with x^((Nq-1)/m) = zeta**e mod q, unchecked.
 
     q must be a primary prime of x's ring that does not divide x: the public
-    symbols check that first, and the witness search builds only such moduli.
+    symbols check that first, and the witness search and the symbol matrices
+    build or validate only such moduli.
+
+    Each residue class has one remainder mod q (y + k*q rounds to the
+    quotient of y plus k), so the power is matched by equality.  zeta**e is
+    its own remainder when the coordinates of zeta**e * conj(q), at most
+    sqrt(Nq) in Z[i] and 2*sqrt(Nq/3) in Z[w], are below Nq/2: for Nq >= 5
+    (no element of Z[w] has norm 5), so for every primary prime except -2 in
+    Z[w] (norm 4), where mod(w**2, -2) is 1+w.
     """
-    r = _pow_mod(x, (q.norm() - 1) // m, q)
-    for e in range(m):
-        if divides(q, r - q.root_of_unity(e)):
+    n = q.norm()
+    r = _pow_mod(x, (n - 1) // m, q)
+    for e, zeta in enumerate(q.units()[:m]):
+        if r == (zeta if n >= 5 else mod(zeta, q)):
             return e
     raise RuntimeError(
         f"power of {x} mod {q} is not a root of unity; invalid input slipped through"

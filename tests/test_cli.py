@@ -180,6 +180,36 @@ class TestWitness:
         assert out.strip().splitlines()[-1] == "VERIFIED"
 
 
+class TestWitnessVerifiedOnce:
+    # the search's own post-condition is the only recomputation of the matrix
+    @pytest.mark.parametrize(
+        "m, text, module, name",
+        [
+            (2, QR_TEXT, resmat.qr, "qr_matrix_from_primes"),
+            (3, CUBIC_TEXT, resmat.higher, "cubic_matrix"),
+            (4, QUARTIC_TEXT, resmat.higher, "quartic_matrix"),
+        ],
+    )
+    def test_matrix_built_once(self, capsys, monkeypatch, m, text, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(primes):
+            calls.append(primes)
+            return original(primes)
+
+        monkeypatch.setattr(module, name, counted)
+        code, out, err = run_cli(capsys, ["witness", "--m", str(m)], stdin=text)
+        assert (code, err) == (0, "") and out.endswith("\nVERIFIED\n")
+        assert len(calls) == 1
+
+    def test_mismatch_raises(self, capsys, monkeypatch):
+        # a post-condition that fails is a RuntimeError, never a printed verdict
+        monkeypatch.setattr(resmat.qr, "qr_matrix_from_primes", lambda primes: None)
+        with pytest.raises(RuntimeError, match="do not reproduce the matrix"):
+            run_cli(capsys, ["witness"], stdin=QR_TEXT)
+
+
 class TestHigherWitnessOptimized:
     # python -O strips asserts; the m=3/4 post-conditions must survive it
     CASES = [("3", CUBIC_TEXT), ("4", QUARTIC_TEXT)]
@@ -450,6 +480,65 @@ class TestSymbol:
             ["symbol", "--kind", "cubic", "--num", "zz", "--den", "4+3w"],
         )
         assert code == 2
+
+
+class TestSymbolErrors:
+    # one line on stderr and exit 2 for every malformed cubic/quartic operand
+    @pytest.mark.parametrize(
+        "kind, num, den, message",
+        [
+            ("cubic", "2", "1-9w", "denominator must be a primary prime element: 1-9w"),
+            ("cubic", "2", "3+w", "denominator must be a primary prime element: 3+w"),
+            ("cubic", "2", "1", "zero or unit is neither prime nor composite: 1"),
+            ("cubic", "-3+w", "4+3w", "-3+w is divisible by 4+3w; symbol undefined"),
+            ("cubic", "0", "4+3w", "0 is divisible by 4+3w; symbol undefined"),
+            ("cubic", "2", "3+2i", "expected 'w' in a eisenstein element, got '3+2i'"),
+            ("quartic", "2", "-7+4i", "denominator must be a primary prime element: -7+4i"),
+            ("quartic", "2", "2+i", "denominator must be a primary prime element: 2+i"),
+            ("quartic", "6+4i", "3+2i", "6+4i is divisible by 3+2i; symbol undefined"),
+            ("quartic", "1+w", "3+2i", "expected 'i' in a gaussian element, got '1+w'"),
+        ],
+    )
+    def test_one_error_line(self, capsys, kind, num, den, message):
+        code, out, err = run_cli(
+            capsys, ["symbol", "--kind", kind, "--num", num, "--den", den]
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "kind, num, den", [("cubic", "-2-3w", "4+3w"), ("quartic", "3+2i", "-1+2i")]
+    )
+    def test_denominator_proved_once(self, capsys, monkeypatch, kind, num, den):
+        from resmat import cli, cyclotomic
+
+        calls = []
+        original = cyclotomic.is_prime_element
+
+        def counted(x):
+            calls.append(str(x))
+            return original(x)
+
+        monkeypatch.setattr(cli, "is_prime_element", counted)
+        monkeypatch.setattr(cyclotomic, "is_prime_element", counted)
+        code, _, _ = run_cli(capsys, ["symbol", "--kind", kind, "--num", num, "--den", den])
+        assert code == 0 and calls == [den]
+
+    @pytest.mark.parametrize("kind", ["cubic", "quartic"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--num", "--", "--den", "7"], "--num"),
+            (["--num", "7", "--den", "--"], "--den"),
+        ],
+    )
+    def test_end_of_options_as_operand_is_a_usage_error(self, capsys, kind, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["symbol", "--kind", kind, *argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert [ln for ln in captured.err.splitlines() if "error:" in ln] == [
+            f"resmat symbol: error: argument {flag}: expected one argument"
+        ]
 
 
 class TestUsageErrors:

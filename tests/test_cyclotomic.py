@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from resmat.cyclotomic import (
     EisensteinInt,
     GaussianInt,
+    _pow_mod,
     _residue_symbol,
     check_quartic_reciprocity,
     cubic_symbol,
@@ -55,6 +56,14 @@ def field_symbol_oracle(x, q, m):
         if v == pow(r, e, p):
             return e
     raise AssertionError("no root of unity matched")
+
+
+def divides_symbol_oracle(x, q, m):
+    """The symbol core as it matched before: the e with q | r - zeta**e."""
+    r = _pow_mod(x, (q.norm() - 1) // m, q)
+    hits = [e for e, z in enumerate(q.units()[:m]) if divides(q, r - z)]
+    assert len(hits) == 1
+    return hits[0]
 
 
 class TestArithmetic:
@@ -336,6 +345,37 @@ class TestSymbolCore:
             )
         )
         assert _residue_symbol(x, q, m) == symbol(x, q)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(RINGS), st.data())
+    def test_equality_match_equals_divides_match(self, case, data):
+        ring, _, m = case
+        q = data.draw(st.sampled_from(SYMBOL_POOLS[ring]))
+        x = data.draw(
+            st.sampled_from(SYMBOL_POOLS[ring])
+            | st.builds(ring, st.integers(-30, 30), st.integers(-30, 30))
+        )
+        if x.is_zero() or divides(q, x):
+            return
+        assert _residue_symbol(x, q, m) == divides_symbol_oracle(x, q, m)
+
+    def test_equality_match_at_norm_four(self):
+        # q = -2 in Z[w] is the one primary prime whose roots of unity are not
+        # all their own remainders; every unit and class mod -2 is covered
+        q = E(-2, 0)
+        for x in (E(1, 0), E(0, 1), E(-1, -1), E(1, 1), E(-1, 0), E(0, -1)):
+            assert _residue_symbol(x, q, 3) == divides_symbol_oracle(x, q, 3)
+        assert cubic_symbol(E(1, 1), q) == 2
+        assert cubic_symbol(E(0, 1), q) == 1
+
+    @pytest.mark.parametrize("ring, m", [(G, 4), (E, 3)])
+    def test_roots_are_their_own_remainders_from_norm_five(self, ring, m):
+        primes = primary_primes(ring, 2000)
+        assert len(primes) > 100
+        for q in primes:
+            roots = q.units()[:m]
+            assert all(mod(z, q) == z for z in roots) == (q.norm() >= 5)
+        assert [q for q in primes if q.norm() < 5] == ([E(-2, 0)] if ring is E else [])
 
     def test_pools_hold_both_kinds(self):
         for ring, pool in SYMBOL_POOLS.items():

@@ -100,6 +100,64 @@ class TestCubicMatrix:
             is_cubic_residue_matrix(SignMatrix(2, ((None, 0), (0, None))))
 
 
+class TestSymbolMatrices:
+    # degree-1 primes plus the inert -2, -5 in Z[w] and -3, -7 in Z[i]
+    POOLS = [
+        (cubic_matrix, cubic_symbol, EisensteinInt,
+         [EisensteinInt(-2, 0), EisensteinInt(-5, 0)]),
+        (quartic_matrix, quartic_symbol, GaussianInt,
+         [GaussianInt(-3, 0), GaussianInt(-7, 0)]),
+    ]
+
+    @pytest.mark.parametrize("build, symbol, ring, inert", POOLS)
+    def test_entries_are_the_public_symbols(self, build, symbol, ring, inert):
+        kind = "eisenstein" if ring is EisensteinInt else "gaussian"
+        primes = list(islice(_degree_one_primary_primes(kind, 10**3), 8)) + inert
+        mat = build(primes)
+        n = len(primes)
+        assert mat.entries == tuple(
+            tuple(None if i == j else symbol(primes[i], primes[j]) for j in range(n))
+            for i in range(n)
+        )
+
+    @pytest.mark.parametrize("build, symbol, ring, inert", POOLS)
+    def test_each_prime_proved_once(self, monkeypatch, build, symbol, ring, inert):
+        from resmat import higher
+
+        calls = []
+        original = cyclotomic.is_prime_element
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(higher, "is_prime_element", counted)
+        monkeypatch.setattr(cyclotomic, "is_prime_element", counted)
+        kind = "eisenstein" if ring is EisensteinInt else "gaussian"
+        primes = list(islice(_degree_one_primary_primes(kind, 10**3), 5)) + inert
+        build(primes)
+        assert calls == primes
+
+    @pytest.mark.parametrize(
+        "build, primes, message",
+        [
+            (cubic_matrix, [EisensteinInt(3, 1)], "not a primary prime element: 3+w"),
+            (cubic_matrix, [EisensteinInt(-2, -3), EisensteinInt(-2, -3)],
+             "prime ideals must be distinct: -2-3w, -2-3w"),
+            (cubic_matrix, GAU_FIXTURE,
+             "expected EisensteinInt elements, got GaussianInt(a=-1, b=2)"),
+            (quartic_matrix, [GaussianInt(2, 1)], "not a primary prime element: 2+i"),
+            (quartic_matrix, [GaussianInt(-7, 4)], "not a primary prime element: -7+4i"),
+            (quartic_matrix, EIS_FIXTURE,
+             "expected GaussianInt elements, got EisensteinInt(a=-2, b=-3)"),
+        ],
+    )
+    def test_validation_messages(self, build, primes, message):
+        with pytest.raises(ValueError) as got:
+            build(primes)
+        assert str(got.value) == message
+
+
 class TestQuarticMatrix:
     def test_fixture(self):
         mat = quartic_matrix(GAU_FIXTURE)
