@@ -13,6 +13,8 @@ from functools import lru_cache
 from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
     _check_coprime,
+    _primary_associate,
+    _ramified,
     _residue_symbol,
     is_primary,
     is_prime_element,
@@ -238,11 +240,13 @@ def cmd_symbol(args):
     den = parse_element(args.den, ring)
     if args.primary:
         den = primary_generator(den)  # a primary prime, or it raises
-        if not (num.is_zero() or num.is_unit()) and is_prime_element(num):
-            try:
-                num = primary_generator(num)
-            except RamifiedPrimeError:
-                pass
+        # a prime numerator is proved once; a ramified one is kept as given
+        if (
+            not (num.is_zero() or num.is_unit())
+            and is_prime_element(num)
+            and num.norm() % _ramified(num)
+        ):
+            num = _primary_associate(num)
         print(f"primary: {num} {den}")
     elif not is_prime_element(den) or not is_primary(den):
         raise ValueError(f"denominator must be a primary prime element: {den}")

@@ -287,7 +287,8 @@ def _primary_associate(x):
     """The primary associate of x, with no primality or ramification check.
 
     x must be a prime element prime to the ramified prime: primary_generator
-    checks that first, and the witness search builds only such elements.
+    and `resmat symbol --primary` check that first, and the witness search
+    builds only such elements.
     """
     for u in x.units():
         y = x * u

@@ -523,6 +523,34 @@ class TestSymbolErrors:
         code, _, _ = run_cli(capsys, ["symbol", "--kind", kind, "--num", num, "--den", den])
         assert code == 0 and calls == [den]
 
+    @pytest.mark.parametrize(
+        "kind, num, den, primary",
+        [
+            ("quartic", "3+2i", "2+i", "primary: 3+2i -1+2i"),
+            ("quartic", "2+3i", "-1+2i", "primary: 3-2i -1+2i"),
+            ("cubic", "2+3w", "4+3w", "primary: -2-3w 4+3w"),
+        ],
+    )
+    def test_primary_proves_each_operand_once(
+        self, capsys, monkeypatch, kind, num, den, primary
+    ):
+        from resmat import cli, cyclotomic
+
+        calls = []
+        original = cyclotomic.is_prime_element
+
+        def counted(x):
+            calls.append(str(x))
+            return original(x)
+
+        monkeypatch.setattr(cli, "is_prime_element", counted)
+        monkeypatch.setattr(cyclotomic, "is_prime_element", counted)
+        code, out, _ = run_cli(
+            capsys, ["symbol", "--kind", kind, "--num", num, "--den", den, "--primary"]
+        )
+        assert code == 0 and out.splitlines()[0] == primary
+        assert calls == [den, num]
+
     @pytest.mark.parametrize("kind", ["cubic", "quartic"])
     @pytest.mark.parametrize(
         "argv, flag",

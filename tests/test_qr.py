@@ -320,6 +320,23 @@ class TestWitnessSieveWalk:
         assert (got.value.limit, got.value.column, got.value.tried) == (limit, 1, 0)
         assert str(got.value) == f"no prime <= {limit} realizes column 1"
 
+    @pytest.mark.parametrize("matrix", [M_3_7_13, M_4093, M_4129])
+    def test_search_calls_legendre_only_in_post_condition(self, monkeypatch, matrix):
+        # candidates are tested by Euler's criterion against per-column
+        # targets; legendre is left to qr_matrix_from_primes, one call for
+        # each ordered pair of the witnesses
+        from resmat import qr
+
+        calls = []
+
+        def counted(a, p):
+            calls.append((a, p))
+            return legendre(a, p)
+
+        monkeypatch.setattr(qr, "legendre", counted)
+        primes = witness_primes(matrix, 10**7)
+        assert calls == [(pi, pj) for pi in primes for pj in primes if pi != pj]
+
 
 def _run_optimized_cli(argv, stdin):
     env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
