@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import compress, count
-
 from .cyclotomic import (
     EisensteinInt,
     GaussianInt,
@@ -16,8 +14,8 @@ from .cyclotomic import (
 )
 from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import SignMatrix
-from .qr import _SIEVE_START, _block_decomposition, split_size
-from .rational import odd_prime_flags, sqrt_mod
+from .qr import _block_decomposition, _replay, split_size
+from .rational import class_primes, odd_prime_blocks, sqrt_mod
 from .records import Record, setfield
 
 DEFAULT_NORM_LIMIT = 10**6
@@ -127,30 +125,12 @@ def quartic_block_form(matrix):
 # --- deterministic witness search ---
 #
 # The existence argument is Chebotarev's theorem; computationally we scan
-# degree-1 split primes in ascending norm (rational p = 1 mod 3 resp. 1 mod 4)
+# degree-1 split primes in ascending norm (rational p = 1 mod 3 resp. 1 mod 4,
+# read off the sieve blocks as in qr.witness_primes, so none needs a test)
 # and accept the first candidate whose symbols match.  For each rational
 # prime both conjugate ideals are offered, the one whose residue field sends
 # w (resp. i) to the larger root first; this pins down, e.g., -2-3w as the
 # first Eisenstein candidate and -1+2i as the first Gaussian one.
-
-
-def _split_primes(step, limit):
-    """The primes p = 1 (mod step) up to limit, ascending, for an even step.
-
-    They are read off an odd-only sieve that starts at qr._SIEVE_START and
-    doubles up to limit, as in qr.witness_primes, so none needs a test.
-    """
-    lo = 1
-    bound = max(0, min(_SIEVE_START, limit))
-    while True:
-        flags = odd_prime_flags(bound)
-        yield from compress(
-            range(lo, bound + 1, step), memoryview(flags)[lo // 2 :: step // 2]
-        )
-        if bound >= limit:
-            return
-        lo += step * len(range(lo, bound + 1, step))
-        bound = min(2 * bound, limit)
 
 
 def _prime_over(ring, p, r):
@@ -188,7 +168,7 @@ def _degree_one_primary_primes(kind, norm_limit):
             r = sqrt_mod(p - 1, p)  # sqrt(-1)
             return (r, p - r)
 
-    for p in _split_primes(step, norm_limit):
+    for p in class_primes(odd_prime_blocks(norm_limit), 1, step):
         for r in sorted(roots(p), reverse=True):
             yield _prime_over(ring, p, r)
 
@@ -204,22 +184,13 @@ def _scan_witnesses(matrix, kind, norm_limit, class_filter=None):
     # public functions' checks.
     m = 3 if kind == "eisenstein" else 4
     source = _degree_one_primary_primes(kind, norm_limit)
-    candidates = []
+    drawn = []
     chosen = []
     for k in range(matrix.n):
         row = matrix.entries[k]
-        for idx in count():  # idx candidates examined so far
-            if idx == len(candidates):
-                cand = next(source, None)
-                if cand is None:
-                    raise SearchExhaustedError(
-                        f"no prime of norm <= {norm_limit} realizes column {k + 1}",
-                        limit=norm_limit,
-                        column=k + 1,
-                        tried=idx,
-                    )
-                candidates.append(cand)
-            cand = candidates[idx]
+        tried = 0
+        for cand in _replay(drawn, source):
+            tried += 1
             if cand in chosen:
                 continue
             if class_filter is not None and not class_filter(k, cand):
@@ -231,6 +202,13 @@ def _scan_witnesses(matrix, kind, norm_limit, class_filter=None):
             ):
                 chosen.append(cand)
                 break
+        else:
+            raise SearchExhaustedError(
+                f"no prime of norm <= {norm_limit} realizes column {k + 1}",
+                limit=norm_limit,
+                column=k + 1,
+                tried=tried,
+            )
     return chosen
 
 

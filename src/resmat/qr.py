@@ -17,7 +17,7 @@ from .matrices import (
     orbit_class_count,
     pair_orbit_count,
 )
-from .rational import is_prime, jacobi, legendre, odd_prime_flags
+from .rational import class_primes, is_prime, jacobi, legendre, odd_prime_blocks
 from .records import Record, setfield
 
 COUNT_MIN_N = 2
@@ -116,8 +116,13 @@ def _block_decomposition(diag, s):
     return BlockDecomposition(tuple(skew + rest), s)
 
 
-# First sieve bound of the m=2 witness search; it doubles up to the limit.
-_SIEVE_START = 4096
+def _replay(drawn, source):
+    """The items in drawn, then new items from source, each appended to drawn."""
+    yield from drawn
+    # a column that stops early closes its replay, but not source (a for loop)
+    for item in source:
+        drawn.append(item)
+        yield item
 
 
 def witness_primes(matrix, limit):
@@ -130,8 +135,8 @@ def witness_primes(matrix, limit):
     earlier primes, so qualifying primes exist by Dirichlet's theorem.
 
     The candidates are the primes of one class in ascending order, read off
-    an odd-only sieve that starts at 4096 and doubles up to limit when a
-    column runs past it.  Only the symbols (p / p_j) are tested: by quadratic
+    the rational.odd_prime_blocks of the search, drawn once and replayed
+    for each column.  Only the symbols (p / p_j) are tested: by quadratic
     reciprocity (p / p_j)(p_j / p) = -1 exactly when p and p_j are both
     3 mod 4, which is what the block form asks of M[j][k] against M[k][j],
     so the reverse symbols follow from the classes.
@@ -147,9 +152,8 @@ def witness_primes(matrix, limit):
     skew = set(bd.perm[: bd.s])
     signs = matrix.signs()
     primes = []
-    # a limit below 0 sieves nothing and exhausts like the limits 0..2
-    bound = max(0, min(_SIEVE_START, limit))
-    flags = odd_prime_flags(bound)
+    blocks = []
+    source = odd_prime_blocks(limit)
     for k in range(matrix.n):
         row = signs[k]
         # (pj, e, want): the candidate's power p^e mod pj must equal want; an
@@ -158,33 +162,22 @@ def witness_primes(matrix, limit):
             (pj, (pj - 1) // 2, 1 if row[j] == 1 else pj - 1)
             for j, pj in enumerate(primes)
         ]
-        start = 3 if k in skew else 1
         tried = 0
-        found = None
-        while found is None:
-            candidates = itertools.compress(
-                range(start, bound + 1, 4), memoryview(flags)[start // 2 :: 2]
-            )
-            for p in candidates:
-                tried += 1
-                for pj, e, want in targets:
-                    if pow(p, e, pj) != want:
-                        break
-                else:
-                    found = p
+        for p in class_primes(_replay(blocks, source), 3 if k in skew else 1, 4):
+            tried += 1
+            for pj, e, want in targets:
+                if pow(p, e, pj) != want:
                     break
             else:
-                if bound >= limit:
-                    raise SearchExhaustedError(
-                        f"no prime <= {limit} realizes column {k + 1}",
-                        limit=limit,
-                        column=k + 1,
-                        tried=tried,
-                    )
-                start += 4 * len(range(start, bound + 1, 4))
-                bound = min(2 * bound, limit)
-                flags = odd_prime_flags(bound)
-        primes.append(found)
+                primes.append(p)
+                break
+        else:
+            raise SearchExhaustedError(
+                f"no prime <= {limit} realizes column {k + 1}",
+                limit=limit,
+                column=k + 1,
+                tried=tried,
+            )
     # checks every symbol in both directions, so it also guards the
     # reciprocity shortcut above
     if qr_matrix_from_primes(primes) != matrix:

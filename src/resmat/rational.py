@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt
 
 # Deterministic Miller-Rabin base set.  The least composite that is a strong
@@ -65,6 +65,30 @@ def odd_prime_flags(bound):
             start = p * p // 2
             flags[start::p] = bytes(len(range(start, size, p)))
     return flags
+
+
+def odd_prime_blocks(limit):
+    """odd_prime_flags(limit) as (lo, flags) blocks, flags[i] for lo + 2i.
+
+    The sieve bound starts at 4096 and doubles up to limit; each block is a
+    copy of its own part, so a kept block does not pin the larger sieve.
+    """
+    lo, bound = 1, min(4096, limit)
+    while lo <= limit:
+        flags = odd_prime_flags(bound)
+        yield lo, flags[lo // 2 :]
+        lo, bound = 2 * len(flags) + 1, min(2 * bound, limit)
+
+
+def class_primes(blocks, residue, modulus):
+    """The primes = residue (mod an even modulus) in (lo, flags) blocks, ascending."""
+    return chain.from_iterable(
+        compress(
+            range(lo + (residue - lo) % modulus, lo + 2 * len(flags), modulus),
+            memoryview(flags)[(residue - lo) % modulus // 2 :: modulus // 2],
+        )
+        for lo, flags in blocks
+    )
 
 
 def sieve_primes(bound):

@@ -482,7 +482,7 @@ def admissible_higher_matrices(draw, max_n=5):
     return SignMatrix(m, tuple(tuple(r) for r in rows))
 
 
-HIGHER_ORACLE_LIMITS = (1, 4, 7, 12, 13, 100, 10**6)
+HIGHER_ORACLE_LIMITS = (-5, 0, 1, 4, 7, 12, 13, 100, 10**6)
 EIS_MATRIX = cubic_matrix(EIS_FIXTURE)
 GAU_MATRIX = quartic_matrix(GAU_FIXTURE)
 

@@ -206,13 +206,20 @@ def _witness_oracle(matrix, limit):
     for k in range(matrix.n):
         target = 3 if k in skew else 1
         p = 1
+        tried = 0  # every prime of the class, taken ones included
         while True:
             p += 2
             if p > limit:
                 raise SearchExhaustedError(
-                    f"no prime <= {limit} realizes column {k + 1}", limit=limit
+                    f"no prime <= {limit} realizes column {k + 1}",
+                    limit=limit,
+                    column=k + 1,
+                    tried=tried,
                 )
-            if p % 4 != target or p in primes or not is_prime(p):
+            if p % 4 != target or not is_prime(p):
+                continue
+            tried += 1
+            if p in primes:
                 continue
             if all(
                 legendre(p, pj) == signs[k][j] and legendre(pj, p) == signs[j][k]
@@ -260,7 +267,9 @@ M_4129 = SignMatrix.from_signs([
     [1, 1, 1, 1, 1, -1, -1, 0],
 ])
 
-ORACLE_LIMITS = (1, 2, 3, 4, 5, 7, 100, 1000, 4095, 4096, 4097, 5000, 10**7)
+ORACLE_LIMITS = (
+    -5, 0, 1, 2, 3, 4, 5, 7, 100, 1000, 4095, 4096, 4097, 5000, 8192, 8193, 10**7,
+)
 
 
 class TestWitnessSieveWalk:
@@ -290,7 +299,9 @@ class TestWitnessSieveWalk:
             with pytest.raises(SearchExhaustedError) as got:
                 witness_primes(matrix, limit)
             assert str(got.value) == str(exc)
-            assert got.value.limit == limit
+            assert (got.value.limit, got.value.column, got.value.tried) == (
+                exc.limit, exc.column, exc.tried,
+            )
         else:
             assert witness_primes(matrix, limit) == expected
 

@@ -4,9 +4,11 @@ from hypothesis import strategies as st
 
 from resmat.rational import (
     MR_LIMIT,
+    class_primes,
     is_prime,
     jacobi,
     legendre,
+    odd_prime_blocks,
     odd_prime_flags,
     sieve_primes,
     sqrt_mod,
@@ -71,6 +73,34 @@ class TestOddPrimeFlags:
         assert odd_prime_flags(3) == bytearray([0, 1])  # the one prime 3
         with pytest.raises(ValueError):
             odd_prime_flags(-1)
+
+
+# every limit up to 3000, and both sides of the first three sieve bounds
+BLOCK_LIMITS = [*range(3001), 4095, 4096, 4097, 8191, 8192, 8193, 16383, 16384, 16385]
+
+
+class TestOddPrimeBlocks:
+    def test_blocks_concatenate_to_flags(self):
+        for limit in BLOCK_LIMITS:
+            blocks = list(odd_prime_blocks(limit))
+            assert b"".join(flags for _, flags in blocks) == odd_prime_flags(limit)
+            end = 1  # each block starts at the first odd number after the last
+            for lo, flags in blocks:
+                assert lo == end
+                end = lo + 2 * len(flags)
+
+    @pytest.mark.parametrize("limit", range(-5, 0))
+    def test_negative_limit_is_empty(self, limit):
+        assert list(odd_prime_blocks(limit)) == list(odd_prime_blocks(0)) == []
+
+    @pytest.mark.parametrize(
+        "residue, modulus", [(1, 4), (3, 4), (1, 6), (5, 6), (1, 8), (5, 8)]
+    )
+    def test_class_primes_match_sieve(self, residue, modulus):
+        primes = sieve_primes(max(BLOCK_LIMITS))
+        for limit in BLOCK_LIMITS:
+            got = list(class_primes(odd_prime_blocks(limit), residue, modulus))
+            assert got == [p for p in primes if p <= limit and p % modulus == residue]
 
 
 class TestIsPrime:
