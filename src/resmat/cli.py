@@ -14,7 +14,6 @@ from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
     _check_coprime,
     _primary_associate,
-    _ramified,
     _residue_symbol,
     is_primary,
     is_prime_element,
@@ -81,10 +80,6 @@ def _read_matrix(path, m):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     return parse_matrix_text(text, m)
-
-
-def _entry_token(m, exponent):
-    return _SYMBOL_TOKENS[m][exponent]
 
 
 def _perm_1based(perm):
@@ -165,16 +160,12 @@ def cmd_count(args):
         return 2
     if args.kind == "qr":
         value = qr.count_qr_classes(n) if args.classes else qr.count_qr_matrices(n)
+    elif not args.classes:
+        value = 1 << (n * (n - 1) // 2)  # symmetric or skew: one free sign per pair
     elif args.kind == "symmetric":
-        value = (
-            matrices.count_symmetric_classes(n)
-            if args.classes
-            else 1 << (n * (n - 1) // 2)
-        )
+        value = matrices.count_symmetric_classes(n)
     else:
-        value = (
-            matrices.count_skew_classes(n) if args.classes else 1 << (n * (n - 1) // 2)
-        )
+        value = matrices.count_skew_classes(n)
     if args.json:
         _print_json({"n": n, "kind": args.kind, "classes": args.classes, "count": value})
     else:
@@ -234,17 +225,18 @@ def cmd_symbol(args):
             v = jacobi(a, n)
         print({1: "1", -1: "-1", 0: "0"}[v])
         return 0
-    m = 3 if kind == "cubic" else 4
-    ring = "eisenstein" if kind == "cubic" else "gaussian"
-    num = parse_element(args.num, ring)
-    den = parse_element(args.den, ring)
+    ring_kind = "eisenstein" if kind == "cubic" else "gaussian"
+    num = parse_element(args.num, ring_kind)
+    den = parse_element(args.den, ring_kind)
+    ring = type(den)  # EisensteinInt resp. GaussianInt
+    m = ring.M
     if args.primary:
         den = primary_generator(den)  # a primary prime, or it raises
         # a prime numerator is proved once; a ramified one is kept as given
         if (
             not (num.is_zero() or num.is_unit())
             and is_prime_element(num)
-            and num.norm() % _ramified(num)
+            and num.norm() % ring.RAMIFIED
         ):
             num = _primary_associate(num)
         print(f"primary: {num} {den}")
@@ -252,7 +244,7 @@ def cmd_symbol(args):
         raise ValueError(f"denominator must be a primary prime element: {den}")
     # den is a primary prime of num's ring: only coprimality is left to check
     _check_coprime(num, den)
-    print(_entry_token(m, _residue_symbol(num, den, m)))
+    print(_SYMBOL_TOKENS[m][_residue_symbol(num, den, m)])
     return 0
 
 

@@ -16,8 +16,21 @@ from .rational import MR_LIMIT, is_prime
 from .records import Record, setfield
 
 
-class GaussianInt(Record):
-    """a + b*i in Z[i]."""
+class _QuadraticInt(Record):
+    """a + b*zeta in Z[zeta]: what does not depend on the ring.
+
+    Each ring adds no slot, keeps its own __mul__, conj and norm (the hot
+    path of _pow_mod, so no generic multiply) and sets these constants:
+
+    - LETTER: the printed name of zeta, i resp. w.
+    - M: the order of zeta (4 resp. 3), the m of the ring's residue symbol.
+      The inert rational primes are the p = M - 1 (mod M).
+    - TRACE: zeta + conj(zeta), so zeta**2 = TRACE*zeta - 1.
+    - RAMIFIED: the rational prime ramified in the ring.
+    - PRIMARY: the pairs (a % M, b % M) of the primary elements; the
+      quartic witness asks for PRIMARY[1] on the skew block.
+    - UNITS: all units, with UNITS[e] = zeta**e for e < M.
+    """
 
     __slots__ = ("a", "b")
     a: int
@@ -28,13 +41,42 @@ class GaussianInt(Record):
         setfield(self, "b", b)
 
     def __add__(self, other):
-        return GaussianInt(self.a + other.a, self.b + other.b)
+        return self.__class__(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other):
-        return GaussianInt(self.a - other.a, self.b - other.b)
+        return self.__class__(self.a - other.a, self.b - other.b)
 
     def __neg__(self):
-        return GaussianInt(-self.a, -self.b)
+        return self.__class__(-self.a, -self.b)
+
+    def is_zero(self):
+        return self.a == 0 and self.b == 0
+
+    def is_unit(self):
+        return self.norm() == 1
+
+    def units(self):
+        return self.UNITS
+
+    def one(self):
+        return self.UNITS[0]
+
+    def __str__(self):
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        unit = self.LETTER if abs(b) == 1 else f"{abs(b)}{self.LETTER}"
+        if a == 0:
+            return unit if b > 0 else f"-{unit}"
+        return f"{a}{'+' if b > 0 else '-'}{unit}"
+
+
+class GaussianInt(_QuadraticInt):
+    """a + b*i in Z[i]."""
+
+    __slots__ = ()
+    LETTER, M, TRACE, RAMIFIED = "i", 4, 0, 2
+    PRIMARY = ((1, 0), (3, 2))  # 1 and 3+2i mod 4
 
     def __mul__(self, other):
         return GaussianInt(
@@ -48,44 +90,13 @@ class GaussianInt(Record):
     def norm(self):
         return self.a * self.a + self.b * self.b
 
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
 
-    def is_unit(self):
-        return self.norm() == 1
-
-    def units(self):
-        return _GAUSSIAN_UNITS
-
-    def one(self):
-        return GaussianInt(1, 0)
-
-    def scale(self, k):
-        return GaussianInt(self.a * k, self.b * k)
-
-    def __str__(self):
-        return _format_element(self.a, self.b, "i")
-
-
-class EisensteinInt(Record):
+class EisensteinInt(_QuadraticInt):
     """a + b*w in Z[w], with w**2 + w + 1 = 0."""
 
-    __slots__ = ("a", "b")
-    a: int
-    b: int
-
-    def __init__(self, a, b):
-        setfield(self, "a", a)
-        setfield(self, "b", b)
-
-    def __add__(self, other):
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return EisensteinInt(-self.a, -self.b)
+    __slots__ = ()
+    LETTER, M, TRACE, RAMIFIED = "w", 3, -1, 3
+    PRIMARY = ((1, 0),)  # 1 mod 3
 
     def __mul__(self, other):
         # (a + bw)(c + dw) = ac - bd + (ad + bc - bd) w
@@ -99,50 +110,16 @@ class EisensteinInt(Record):
     def norm(self):
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    def is_zero(self):
-        return self.a == 0 and self.b == 0
-
-    def is_unit(self):
-        return self.norm() == 1
-
-    def units(self):
-        return _EISENSTEIN_UNITS
-
-    def one(self):
-        return EisensteinInt(1, 0)
-
-    def scale(self, k):
-        return EisensteinInt(self.a * k, self.b * k)
-
-    def __str__(self):
-        return _format_element(self.a, self.b, "w")
-
 
 # The units, built once: records are immutable, so every element shares them.
-_GAUSSIAN_UNITS = (  # 1, i, -1, -i
-    GaussianInt(1, 0),
-    GaussianInt(0, 1),
-    GaussianInt(-1, 0),
-    GaussianInt(0, -1),
+GaussianInt.UNITS = tuple(  # 1, i, -1, -i
+    GaussianInt(a, b) for a, b in ((1, 0), (0, 1), (-1, 0), (0, -1))
 )
-_EISENSTEIN_UNITS = (  # 1, w, w^2, -1, -w, -w^2
-    EisensteinInt(1, 0),
-    EisensteinInt(0, 1),
-    EisensteinInt(-1, -1),
-    EisensteinInt(-1, 0),
-    EisensteinInt(0, -1),
-    EisensteinInt(1, 1),
+EisensteinInt.UNITS = tuple(  # 1, w, w^2, -1, -w, -w^2
+    EisensteinInt(a, b)
+    for a, b in ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1), (1, 1))
 )
-
-
-def _format_element(a, b, letter):
-    if b == 0:
-        return str(a)
-    unit = letter if abs(b) == 1 else f"{abs(b)}{letter}"
-    if a == 0:
-        return unit if b > 0 else f"-{unit}"
-    sign = "+" if b > 0 else "-"
-    return f"{a}{sign}{unit}"
+_RINGS = {"gaussian": GaussianInt, "eisenstein": EisensteinInt}
 
 
 # compiled on first use by re's own cache, so only element parsing pays for it
@@ -157,6 +134,9 @@ def parse_element(text, kind):
 
     kind is 'gaussian' or 'eisenstein'.
     """
+    ring = _RINGS.get(kind)
+    if ring is None:
+        raise ValueError(f"unknown element kind: {kind!r}")
     m = re.match(_ELEMENT_PATTERN, text, re.VERBOSE)
     if not m or (m.group("a") is None and m.group("letter") is None):
         raise ValueError(f"cannot parse element: {text!r}")
@@ -164,10 +144,9 @@ def parse_element(text, kind):
     if m.group("letter") is None:
         b = 0
     else:
-        expected = "i" if kind == "gaussian" else "w"
-        if m.group("letter") != expected:
+        if m.group("letter") != ring.LETTER:
             raise ValueError(
-                f"expected {expected!r} in a {kind} element, got {text!r}"
+                f"expected {ring.LETTER!r} in a {kind} element, got {text!r}"
             )
         b = int(m.group("b")) if m.group("b") else 1
         if m.group("sign") == "-":
@@ -177,21 +156,7 @@ def parse_element(text, kind):
                 raise ValueError(f"missing sign between parts: {text!r}")
             # "2i" / "-3w": the leading integer is the coefficient
             a, b = 0, a
-    if kind == "gaussian":
-        return GaussianInt(a, b)
-    if kind == "eisenstein":
-        return EisensteinInt(a, b)
-    raise ValueError(f"unknown element kind: {kind!r}")
-
-
-def _ramified(x):
-    """The rational prime ramified in x's ring: 2 for Z[i], 3 for Z[w]."""
-    return 2 if isinstance(x, GaussianInt) else 3
-
-
-def _inert_class(x):
-    """Residue of inert rational primes: 3 mod 4 for Z[i], 2 mod 3 for Z[w]."""
-    return (3, 4) if isinstance(x, GaussianInt) else (2, 3)
+    return ring(a, b)
 
 
 def _round_div(num, den):
@@ -251,8 +216,7 @@ def is_prime_element(x):
         # times an inert prime p; an element of norm p^2 is one exactly when
         # p is an inert prime (if the inert p divides x * conj(x), it
         # divides x).
-        r, mdl = _inert_class(x)
-        if p % mdl != r:
+        if p % x.M != x.M - 1:
             return False
         n = p
     if n >= MR_LIMIT:
@@ -266,9 +230,7 @@ def is_prime_element(x):
 
 def is_primary(x):
     """2-primary (Z[i]: 1 or 3+2i mod 4) or 3-primary (Z[w]: 1 mod 3) test."""
-    if isinstance(x, GaussianInt):
-        return (x.a % 4, x.b % 4) in ((1, 0), (3, 2))
-    return x.a % 3 == 1 and x.b % 3 == 0
+    return (x.a % x.M, x.b % x.M) in x.PRIMARY
 
 
 def primary_generator(x):
@@ -278,8 +240,8 @@ def primary_generator(x):
     """
     if not is_prime_element(x):
         raise ValueError(f"not a prime element: {x}")
-    if x.norm() % _ramified(x) == 0:
-        raise RamifiedPrimeError(f"{x} divides {_ramified(x)}; no primary associate")
+    if x.norm() % x.RAMIFIED == 0:
+        raise RamifiedPrimeError(f"{x} divides {x.RAMIFIED}; no primary associate")
     return _primary_associate(x)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import lcm
+
 from .cyclotomic import (
     EisensteinInt,
     GaussianInt,
@@ -153,47 +155,37 @@ def _prime_over(ring, p, r):
     return _primary_associate(gen)
 
 
-def _degree_one_primary_primes(kind, norm_limit):
-    if kind == "eisenstein":
-        ring, step = EisensteinInt, 6  # the odd p = 1 (mod 3)
-
-        def roots(p):
-            r = sqrt_mod(p - 3, p)  # sqrt(-3)
-            a = (r - 1) * pow(2, -1, p) % p
-            return (a, (-1 - a) % p)
-    else:
-        ring, step = GaussianInt, 4
-
-        def roots(p):
-            r = sqrt_mod(p - 1, p)  # sqrt(-1)
-            return (r, p - r)
-
-    for p in class_primes(odd_prime_blocks(norm_limit), 1, step):
-        for r in sorted(roots(p), reverse=True):
+def _degree_one_primary_primes(ring, norm_limit):
+    # The odd p = 1 (mod M) split, and zeta goes to a root of
+    # x**2 - TRACE*x + 1 mod p, (TRACE +- sqrt(TRACE**2 - 4)) / 2.
+    t = ring.TRACE
+    for p in class_primes(odd_prime_blocks(norm_limit), 1, lcm(2, ring.M)):
+        s, inv2 = sqrt_mod(t * t - 4, p), (p + 1) // 2
+        for r in sorted(((t + s) * inv2 % p, (t - s) * inv2 % p), reverse=True):
             yield _prime_over(ring, p, r)
 
 
-def _scan_witnesses(matrix, kind, norm_limit, class_filter=None):
-    # Column k takes the first candidate, in ascending norm, that is not yet
-    # chosen, passes the class filter and matches the symbols against every
-    # earlier choice in both directions.  The candidates are generated once
-    # per search and each column walks them from the start, so it finds what
-    # a fresh scan would find and counts the same tried.  A primary generator
-    # is unique per prime ideal, so a chosen prime is found by equality, and
-    # the moduli are primary primes by construction, so the symbols skip the
-    # public functions' checks.
-    m = 3 if kind == "eisenstein" else 4
-    source = _degree_one_primary_primes(kind, norm_limit)
+def _scan_witnesses(matrix, ring, skew, norm_limit):
+    # Column k takes the first candidate, in ascending norm, that is in the
+    # primary class the column asks for (PRIMARY[1] on the skew block), is
+    # not yet chosen and matches the symbols against every earlier choice in
+    # both directions.  The candidates are generated once per search and
+    # each column walks them from the start, so it finds what a fresh scan
+    # would find and counts the same tried.  A primary generator is unique
+    # per prime ideal, so a chosen prime is found by equality, and the moduli
+    # are primary primes by construction, so the symbols skip the public
+    # functions' checks.
+    m = ring.M
+    source = _degree_one_primary_primes(ring, norm_limit)
     drawn = []
     chosen = []
     for k in range(matrix.n):
         row = matrix.entries[k]
+        primary = ring.PRIMARY[k in skew]
         tried = 0
         for cand in _replay(drawn, source):
             tried += 1
-            if cand in chosen:
-                continue
-            if class_filter is not None and not class_filter(k, cand):
+            if (cand.a % m, cand.b % m) != primary or cand in chosen:
                 continue
             if all(
                 _residue_symbol(cand, qj, m) == row[j]
@@ -216,7 +208,7 @@ def cubic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
     """Distinct primary Eisenstein primes whose cubic matrix equals the input."""
     if not is_cubic_residue_matrix(matrix):
         raise NotAResidueMatrixError("matrix is not symmetric")
-    chosen = _scan_witnesses(matrix, "eisenstein", norm_limit)
+    chosen = _scan_witnesses(matrix, EisensteinInt, (), norm_limit)
     if cubic_matrix(chosen) != matrix:
         raise RuntimeError(f"cubic witness {chosen} does not reproduce the matrix")
     return chosen
@@ -229,12 +221,7 @@ def quartic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
     """
     bd = quartic_block_form(matrix)
     skew = set(bd.perm[: bd.s])
-
-    def class_filter(k, cand):
-        want = (3, 2) if k in skew else (1, 0)
-        return (cand.a % 4, cand.b % 4) == want
-
-    chosen = _scan_witnesses(matrix, "gaussian", norm_limit, class_filter)
+    chosen = _scan_witnesses(matrix, GaussianInt, skew, norm_limit)
     if quartic_matrix(chosen) != matrix:
         raise RuntimeError(f"quartic witness {chosen} does not reproduce the matrix")
     return chosen

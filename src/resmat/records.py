@@ -15,15 +15,19 @@ class Record:
     as ``Name(field=value, ...)``, raise AttributeError on assignment or
     deletion, and pickle by calling the constructor with their fields.  Each
     subclass lists its fields in ``__slots__`` and writes its own ``__init__``
-    that stores them with ``setfield``.
+    that stores them with ``setfield``; a subclass with ``__slots__ = ()``
+    keeps the fields and the ``__init__`` of its base.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        cls._fields = tuple(
+            f for c in reversed(cls.__mro__) for f in c.__dict__.get("__slots__", ())
+        )
         # the fields in one C call: a tuple, or the lone value of a one-field record
-        cls._values = attrgetter(*cls.__slots__)
+        cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -35,7 +39,7 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -45,4 +49,4 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)

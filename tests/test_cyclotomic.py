@@ -94,6 +94,61 @@ class TestArithmetic:
             assert rem.norm() < q.norm()
 
 
+def small_elements(ring, norm_limit):
+    """Every element of ring with norm <= norm_limit (N(a + b*zeta) is at
+    least (a*a + b*b) / 2 in both rings)."""
+    cap = isqrt(2 * norm_limit) + 1
+    return [
+        x
+        for a in range(-cap, cap + 1)
+        for b in range(-cap, cap + 1)
+        if (x := ring(a, b)).norm() <= norm_limit
+    ]
+
+
+@pytest.mark.parametrize("ring", [GaussianInt, EisensteinInt])
+class TestRingConstants:
+    def test_units_are_the_norm_one_elements(self, ring):
+        assert len(set(ring.UNITS)) == len(ring.UNITS)
+        assert set(ring.UNITS) == {x for x in small_elements(ring, 1) if x.norm() == 1}
+
+    def test_units_start_with_the_powers_of_zeta(self, ring):
+        zeta, power = ring(0, 1), ring(1, 0)
+        for e in range(ring.M):
+            assert ring.UNITS[e] == power
+            power = power * zeta
+        assert power == ring(1, 0)  # zeta has order M
+
+    def test_trace(self, ring):
+        zeta = ring(0, 1)
+        assert zeta * zeta == ring(-1, ring.TRACE)  # TRACE * zeta - 1
+        assert zeta + zeta.conj() == ring(ring.TRACE, 0)
+
+    def test_ramified_prime_divides_the_discriminant(self, ring):
+        disc = ring.TRACE**2 - 4  # of x**2 - TRACE*x + 1
+        assert [p for p in sieve_primes(10) if disc % p == 0] == [ring.RAMIFIED]
+
+    def test_inert_class(self, ring):
+        norms = {x.norm() for x in small_elements(ring, 500)}
+        for p in sieve_primes(500):
+            assert (p % ring.M == ring.M - 1) == (p not in norms), p
+
+    def test_one_associate_of_each_prime_is_primary(self, ring):
+        # the class of 1 comes first: every column off the skew block asks for it
+        assert ring.PRIMARY[0] == (1, 0)
+        seen = 0
+        for x in small_elements(ring, 500):
+            if x.norm() <= 1 or x.norm() % ring.RAMIFIED == 0 or not is_prime_element(x):
+                continue
+            hits = [
+                u for u in ring.UNITS
+                if ((x * u).a % ring.M, (x * u).b % ring.M) in ring.PRIMARY
+            ]
+            assert len(hits) == 1, x
+            seen += 1
+        assert seen > 100
+
+
 class TestParsing:
     @pytest.mark.parametrize(
         "text,expected",
@@ -130,6 +185,11 @@ class TestParsing:
     def test_wrong_ring_letter(self):
         with pytest.raises(ValueError):
             parse_element("3+2i", "eisenstein")
+
+    @pytest.mark.parametrize("text", ["3+2i", "3+2w", "7", "garbage"])
+    def test_unknown_kind_rejected_before_parsing(self, text):
+        with pytest.raises(ValueError, match="^unknown element kind: 'cubic'$"):
+            parse_element(text, "cubic")
 
     @given(st.integers(-99, 99), st.integers(-99, 99))
     def test_format_roundtrip(self, a, b):

@@ -111,8 +111,7 @@ class TestSymbolMatrices:
 
     @pytest.mark.parametrize("build, symbol, ring, inert", POOLS)
     def test_entries_are_the_public_symbols(self, build, symbol, ring, inert):
-        kind = "eisenstein" if ring is EisensteinInt else "gaussian"
-        primes = list(islice(_degree_one_primary_primes(kind, 10**3), 8)) + inert
+        primes = list(islice(_degree_one_primary_primes(ring, 10**3), 8)) + inert
         mat = build(primes)
         n = len(primes)
         assert mat.entries == tuple(
@@ -133,8 +132,7 @@ class TestSymbolMatrices:
 
         monkeypatch.setattr(higher, "is_prime_element", counted)
         monkeypatch.setattr(cyclotomic, "is_prime_element", counted)
-        kind = "eisenstein" if ring is EisensteinInt else "gaussian"
-        primes = list(islice(_degree_one_primary_primes(kind, 10**3), 5)) + inert
+        primes = list(islice(_degree_one_primary_primes(ring, 10**3), 5)) + inert
         build(primes)
         assert calls == primes
 
@@ -340,7 +338,8 @@ class TestCandidates:
     @pytest.mark.parametrize("kind", ["eisenstein", "gaussian"])
     def test_first_candidates_match_oracle(self, kind):
         want = list(islice(_candidates_oracle(kind, 10**6), 20000))
-        got = list(islice(_degree_one_primary_primes(kind, 10**6), 20000))
+        ring = cyclotomic._RINGS[kind]
+        got = list(islice(_degree_one_primary_primes(ring, 10**6), 20000))
         assert len(want) == 20000
         assert got == want
 
@@ -350,7 +349,7 @@ class TestCandidates:
         "norm_limit", [-5, 0, 1, 2, 3, 7, 13, 4095, 4096, 4097, 8192, 8193],
     )
     def test_limits_match_oracle(self, kind, norm_limit):
-        got = list(_degree_one_primary_primes(kind, norm_limit))
+        got = list(_degree_one_primary_primes(cyclotomic._RINGS[kind], norm_limit))
         assert got == list(_candidates_oracle(kind, norm_limit))
 
     @settings(max_examples=100, deadline=None)

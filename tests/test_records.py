@@ -104,6 +104,12 @@ def test_assignment_and_deletion_raise(cls, fields, other, text):
 
 
 @each_record
+def test_instances_have_no_dict(cls, fields, other, text):
+    # a subclass that forgets __slots__ = () gets a __dict__ per instance
+    assert not hasattr(cls(**fields), "__dict__")
+
+
+@each_record
 def test_pickle_round_trip(cls, fields, other, text):
     x = cls(**fields)
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
