@@ -12,7 +12,6 @@ from .cyclotomic import (
     cubic_symbol,
     is_primary,
     is_prime_element,
-    norm,
     parse_element,
     primary_generator,
     quartic_symbol,
@@ -103,7 +102,6 @@ __all__ = [
     "jacobi",
     "jacobi_matrix",
     "legendre",
-    "norm",
     "parse_element",
     "primary_generator",
     "qr_matrix_from_primes",

@@ -1,12 +1,14 @@
 """Command-line front end: check, witness, count, freq, symbol subcommands.
 
-Exit codes: 0 success/member, 1 non-member, 2 parse or usage error,
-3 witness search exhausted.  All output is deterministic.
+Exit codes: 0 success/member, 1 non-member or a closed standard output
+(`resmat ... | head`), 2 parse or usage error, 3 witness search exhausted.
+All output is deterministic.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -29,16 +31,16 @@ from .errors import (
 from .matrices import SignMatrix
 from .rational import is_prime, jacobi, legendre
 
-_ALPHABETS = {
-    2: {"0": None, "1": 0, "-1": 1},
-    3: {"0": None, "1": 0, "w": 1, "w2": 2},
-    4: {"0": None, "1": 0, "i": 1, "-1": 2, "-i": 3},
-}
-
 _SYMBOL_TOKENS = {
     2: ("1", "-1"),
     3: ("1", "w", "w2"),
     4: ("1", "i", "-1", "-i"),
+}
+
+# matrix entries: "0" on the diagonal, each token as its exponent of zeta
+_ALPHABETS = {
+    m: {"0": None, **{tok: k for k, tok in enumerate(tokens)}}
+    for m, tokens in _SYMBOL_TOKENS.items()
 }
 
 
@@ -223,7 +225,7 @@ def cmd_symbol(args):
             v = legendre(a, n)
         else:
             v = jacobi(a, n)
-        print({1: "1", -1: "-1", 0: "0"}[v])
+        print(v)
         return 0
     ring_kind = "eisenstein" if kind == "cubic" else "gaussian"
     num = parse_element(args.num, ring_kind)
@@ -326,7 +328,15 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_value_flags(argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull so the flush at
+        # exit succeeds (the SIGPIPE note of the Python signal docs)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except NotAResidueMatrixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

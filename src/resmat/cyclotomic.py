@@ -193,11 +193,6 @@ def gcd_element(x, y):
     return x
 
 
-def norm(x):
-    """Norm to Q: a^2 + b^2 for Z[i], a^2 - ab + b^2 for Z[w]."""
-    return x.norm()
-
-
 def is_prime_element(x):
     """Whether x is a prime element of its ring.
 

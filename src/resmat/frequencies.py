@@ -7,7 +7,7 @@ from math import isqrt
 
 from .matrices import SignMatrix
 from .qr import qr_matrix_from_primes
-from .rational import is_prime, odd_prime_flags
+from .rational import odd_prime_flags
 # not called here since the scan reads (p/q) from its masks; still bound
 # because perfbench/test_perfbench.py checks that the tracer rebinds it here
 from .rational import legendre  # noqa: F401
@@ -106,13 +106,7 @@ def class_representatives():
 
 def configuration_class(p, q, r):
     """The configuration class of a triple of distinct odd primes."""
-    primes = (p, q, r)
-    if len(set(primes)) != 3:
-        raise ValueError(f"primes must be distinct: {primes}")
-    for v in primes:
-        if v % 2 == 0 or not is_prime(v):
-            raise ValueError(f"not an odd prime: {v}")
-    mat = qr_matrix_from_primes(primes)
+    mat = qr_matrix_from_primes((p, q, r))  # raises ValueError on bad input
     class_id = _CLASS_OF_CODE[_code_of_signs(mat.signs())]
     return ConfigClass(class_id, _REPRESENTATIVES[class_id - 1])
 

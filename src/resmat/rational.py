@@ -44,40 +44,40 @@ def is_prime(n):
     return True
 
 
-def odd_prime_flags(bound):
-    """Odd-only Eratosthenes sieve: flags[i] == 1 exactly when 2i+1 <= bound is prime.
+def odd_prime_flags(bound, lo=1):
+    """Odd-only Eratosthenes sieve: flags[i] == 1 exactly when lo+2i <= bound is prime.
 
-    The result has one byte per odd number 1, 3, ..., <= bound, so it is
-    empty for bound 0 and [0] for bound 1 and 2.
+    One byte per odd number lo, lo+2, ..., <= bound (lo odd, >= 1), sieved by
+    the odd primes up to isqrt(bound); empty for bound 0, [0] for bound 1 and 2.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be >= 0, got {bound}")
-    size = (bound + 1) // 2
+    if bound < 0 or lo < 1 or lo % 2 == 0:
+        raise ValueError(f"need bound >= 0 and an odd lo >= 1, got {bound}, {lo}")
+    size = max(0, (bound - lo) // 2 + 1)
     # grown in place: where the allocation fails, CPython 3.11's
     # bytearray * n also reports a spurious SystemError on stderr
     flags = bytearray([1])
     flags *= size
-    if size:
+    if size and lo == 1:
         flags[0] = 0  # 1 is not prime
-    for i in range(1, (isqrt(bound) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            flags[start::p] = bytes(len(range(start, size, p)))
+    root = isqrt(bound)
+    base = odd_prime_flags(root, 3) if root > 2 else b""
+    for p in compress(range(3, root + 1, 2), base):
+        # from p*p, or from the first odd multiple of p at or above lo
+        start = max((p * p - lo) // 2, -lo * (p + 1) // 2 % p)
+        flags[start::p] = bytes(len(range(start, size, p)))
     return flags
 
 
 def odd_prime_blocks(limit):
     """odd_prime_flags(limit) as (lo, flags) blocks, flags[i] for lo + 2i.
 
-    The sieve bound starts at 4096 and doubles up to limit; each block is a
-    copy of its own part, so a kept block does not pin the larger sieve.
+    The sieve bound starts at 4096 and doubles up to limit; each block
+    sieves only its own odd numbers, from the first odd one after the last.
     """
     lo, bound = 1, min(4096, limit)
     while lo <= limit:
-        flags = odd_prime_flags(bound)
-        yield lo, flags[lo // 2 :]
-        lo, bound = 2 * len(flags) + 1, min(2 * bound, limit)
+        yield lo, odd_prime_flags(bound, lo)
+        lo, bound = bound + 1 + bound % 2, min(2 * bound, limit)
 
 
 def class_primes(blocks, residue, modulus):

@@ -137,6 +137,29 @@ class TestClosedStdin:
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", self.ERR)
 
 
+class TestClosedStdout:
+    # `resmat ... | head` where head has already exited: the write end of a
+    # pipe whose read end is closed fails with EPIPE at the first write
+    # (unbuffered) or at the flush (buffered)
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_broken_pipe_exit_1(self, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "resmat.cli", "freq", "--exact"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+
 class TestWitness:
     def test_quadratic(self, capsys):
         code, out, _ = run_cli(capsys, ["witness"], stdin=QR_TEXT)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resmat.qr import _replay
 from resmat.rational import (
     MR_LIMIT,
     class_primes,
@@ -73,6 +76,17 @@ class TestOddPrimeFlags:
         assert odd_prime_flags(3) == bytearray([0, 1])  # the one prime 3
         with pytest.raises(ValueError):
             odd_prime_flags(-1)
+        for lo in (-1, 0, 2, 4096):  # a segment starts at an odd number >= 1
+            with pytest.raises(ValueError):
+                odd_prime_flags(5000, lo)
+        assert odd_prime_flags(4095, 4097) == bytearray()  # lo past the bound
+
+    @pytest.mark.parametrize("lo", [3, 4097, 2**24 + 1, 10**12 + 1])
+    def test_segment_far_from_one(self, lo):
+        # base primes up to isqrt(lo + 20000), 10**6 for the last lo
+        flags = odd_prime_flags(lo + 20000, lo)
+        assert len(flags) == 10001
+        assert list(flags) == [is_prime(lo + 2 * i) for i in range(10001)]
 
 
 # every limit up to 3000, and both sides of the first three sieve bounds
@@ -88,6 +102,19 @@ class TestOddPrimeBlocks:
             for lo, flags in blocks:
                 assert lo == end
                 end = lo + 2 * len(flags)
+
+    def test_walk_holds_one_byte_per_odd_number(self):
+        # the walk of an exhausted m=2 column: every block is kept for replay,
+        # 5 MB for the odd numbers to 10**7, and no block sieves from 1 again
+        tracemalloc.start()
+        try:
+            walk = class_primes(_replay([], odd_prime_blocks(10**7)), 1, 4)
+            walked = sum(1 for _ in walk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert walked == 332180  # the primes = 1 mod 4 up to 10**7
+        assert peak <= 8 * 10**6
 
     @pytest.mark.parametrize("limit", range(-5, 0))
     def test_negative_limit_is_empty(self, limit):
