@@ -50,27 +50,35 @@ class MatrixParseError(ValueError):
 
 
 def parse_matrix_text(text, m):
-    """Parse one matrix row per line, entries separated by spaces or commas."""
+    """Parse one matrix row per line, entries separated by spaces or commas.
+
+    Errors name the line as numbered in the text, blank lines included.
+    """
     alphabet = _ALPHABETS[m]
-    rows = []
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(li, ln) for li, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MatrixParseError(1, 1, "empty matrix")
-    for li, line in enumerate(lines, start=1):
+    n = len(lines)
+    rows = []
+    for i, (li, line) in enumerate(lines):
         tokens = line.replace(",", " ").split()
-        row = []
-        for ci, tok in enumerate(tokens, start=1):
+        for ci, tok in enumerate(tokens[:n], start=1):
             if tok not in alphabet:
                 raise MatrixParseError(
                     li, ci, f"invalid entry {tok!r} for m={m} "
                     f"(expected one of {sorted(alphabet)})"
                 )
-            row.append(alphabet[tok])
-        rows.append(tuple(row))
-    try:
-        return SignMatrix(m, tuple(rows))
-    except ValueError as exc:
-        raise MatrixParseError(1, 1, str(exc)) from exc
+            if ci == i + 1 and tok != "0":
+                raise MatrixParseError(li, ci, f"diagonal entry must be 0, got {tok!r}")
+            if ci != i + 1 and tok == "0":
+                raise MatrixParseError(li, ci, "off-diagonal entry must not be 0")
+        if len(tokens) != n:
+            raise MatrixParseError(
+                li, min(len(tokens), n) + 1,
+                f"row {i + 1} has {len(tokens)} entries, expected {n}",
+            )
+        rows.append(tuple(alphabet[tok] for tok in tokens))
+    return SignMatrix(m, tuple(rows))
 
 
 def _read_matrix(path, m):
@@ -96,28 +104,21 @@ def _print_json(payload):
 
 def cmd_check(args):
     matrix = _read_matrix(args.file, args.m)
-    if args.m == 2:
-        dec = qr.is_qr_matrix(matrix)
-        perm = qr.block_form(matrix).perm if dec.verdict else None
-        payload = {
-            "verdict": dec.verdict,
-            "s": dec.s,
-            "diag": list(dec.diag),
-            "perm": _perm_1based(perm) if perm else None,
-        }
-    elif args.m == 3:
-        verdict = higher.is_cubic_residue_matrix(matrix)
-        payload = {"verdict": verdict}
+    if args.m == 3:
+        payload = {"verdict": higher.is_cubic_residue_matrix(matrix)}
     else:
-        dec = higher.is_quartic_residue_matrix(matrix)
-        perm = higher.quartic_block_form(matrix).perm if dec.verdict else None
+        decide = qr.is_qr_matrix if args.m == 2 else higher.is_quartic_residue_matrix
+        dec = decide(matrix)
+        # the block form is read off this decision, not decided again
+        perm = qr._block_decomposition(dec.diag, dec.s).perm if dec.verdict else None
         payload = {
             "verdict": dec.verdict,
             "s": dec.s,
-            "pairwise_ok": dec.pairwise_ok,
             "diag": list(dec.diag),
             "perm": _perm_1based(perm) if perm else None,
         }
+        if args.m == 4:
+            payload["pairwise_ok"] = dec.pairwise_ok
     if args.json:
         _print_json(payload)
     else:

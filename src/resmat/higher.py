@@ -16,8 +16,8 @@ from .cyclotomic import (
 )
 from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import SignMatrix
-from .qr import _block_decomposition, _replay, split_size
-from .rational import class_primes, odd_prime_blocks, sqrt_mod
+from .qr import _block_decomposition, _pair_diagonal, _replay, split_size
+from .rational import class_primes, odd_prime_blocks
 from .records import Record, setfield
 
 DEFAULT_NORM_LIMIT = 10**6
@@ -78,7 +78,7 @@ def cubic_matrix(primes):
 
 
 def is_cubic_residue_matrix(matrix):
-    """A cubic sign matrix is a cubic residue matrix iff it is symmetric."""
+    """Membership iff symmetric: the m=3 case of qr._pair_diagonal's criterion."""
     if matrix.m != 3:
         raise ValueError("expected a cubic (m=3) sign matrix")
     return matrix.is_symmetric()
@@ -90,26 +90,10 @@ def quartic_matrix(primes):
 
 
 def is_quartic_residue_matrix(matrix):
-    """Membership: the pairwise +- condition plus the diag(M conj(M)) pattern."""
+    """Membership by qr._pair_diagonal: every m_jk = +-m_kj, diag(M conj(M)) split."""
     if matrix.m != 4:
         raise ValueError("expected a quartic (m=4) sign matrix")
-    n = matrix.n
-    pairwise_ok = True
-    diag = []
-    for i in range(n):
-        total = 0
-        for j in range(n):
-            if i == j:
-                continue
-            d = (matrix.entries[i][j] - matrix.entries[j][i]) % 4
-            if d == 0:
-                total += 1
-            elif d == 2:
-                total -= 1
-            else:
-                pairwise_ok = False  # term is +-i; real part 0
-        diag.append(total)
-    diag = tuple(diag)
+    pairwise_ok, diag = _pair_diagonal(matrix)
     s = split_size(diag) if pairwise_ok else None
     return QuarticDecision(pairwise_ok and s is not None, s, pairwise_ok, diag)
 
@@ -157,11 +141,16 @@ def _prime_over(ring, p, r):
 
 def _degree_one_primary_primes(ring, norm_limit):
     # The odd p = 1 (mod M) split, and zeta goes to a root of
-    # x**2 - TRACE*x + 1 mod p, (TRACE +- sqrt(TRACE**2 - 4)) / 2.
+    # x**2 - TRACE*x + 1 mod p, a primitive M-th root of unity: z**((p-1)/M)
+    # for the first z = 2, 3, ... that is a root; the other is TRACE - r.
     t = ring.TRACE
     for p in class_primes(odd_prime_blocks(norm_limit), 1, lcm(2, ring.M)):
-        s, inv2 = sqrt_mod(t * t - 4, p), (p + 1) // 2
-        for r in sorted(((t + s) * inv2 % p, (t - s) * inv2 % p), reverse=True):
+        e, z = (p - 1) // ring.M, 2
+        r = pow(z, e, p)
+        while (r * r - t * r + 1) % p:
+            z += 1
+            r = pow(z, e, p)
+        for r in sorted((r, (t - r) % p), reverse=True):
             yield _prime_over(ring, p, r)
 
 

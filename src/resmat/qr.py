@@ -59,13 +59,24 @@ def qr_matrix_from_primes(primes):
     return SignMatrix.from_signs(rows)
 
 
-def square_diagonal(matrix):
-    """Diagonal of M^2 over the integers, for an m=2 sign matrix."""
-    signs = matrix.signs()
-    n = matrix.n
-    return tuple(
-        sum(signs[i][j] * signs[j][i] for j in range(n)) for i in range(n)
-    )
+def _pair_diagonal(matrix):
+    """(pairwise_ok, diag) from the pair terms zeta^(M[i][j] - M[j][i]).
+
+    One membership criterion for m = 2, 3, 4: every term is +1 or -1
+    (pairwise_ok), and diag, the +-1 terms summed by row (diag(M^2) for m=2,
+    the real part of diag(M * conj(M)) for m=4), has the pattern of
+    split_size.  For m=3 no term is -1: the criterion is symmetry.
+    """
+    m, ent = matrix.m, matrix.entries
+    pairwise_ok, diag = True, [0] * len(ent)
+    for i, j in itertools.combinations(range(len(ent)), 2):
+        d = (ent[i][j] - ent[j][i]) % m  # (j, i) has the conjugate term
+        if 2 * d % m:
+            pairwise_ok = False  # the term is +-i, w or w^2
+        else:
+            diag[i] += 1 if d == 0 else -1
+            diag[j] += 1 if d == 0 else -1
+    return pairwise_ok, tuple(diag)
 
 
 def split_size(diag):
@@ -85,10 +96,10 @@ def split_size(diag):
 
 
 def is_qr_matrix(matrix):
-    """Membership test via the diagonal of M^2."""
+    """Membership: the diagonal of M^2 has the split pattern (_pair_diagonal)."""
     if matrix.m != 2:
         raise ValueError("QR membership is defined for m=2 sign matrices")
-    diag = square_diagonal(matrix)
+    _, diag = _pair_diagonal(matrix)
     s = split_size(diag)
     return QrDecision(s is not None, s, diag)
 
@@ -108,10 +119,8 @@ def block_form(matrix):
 
 def _block_decomposition(diag, s):
     n = len(diag)
-    if all(d == n - 1 for d in diag):
-        skew = [0]
-    else:
-        skew = [i for i, d in enumerate(diag) if d == n + 1 - 2 * s]
+    # the entries off n-1 are those n+1-2s; a symmetric matrix designates 0
+    skew = [i for i, d in enumerate(diag) if d != n - 1] or [0]
     rest = [i for i in range(n) if i not in skew]
     return BlockDecomposition(tuple(skew + rest), s)
 

@@ -52,6 +52,27 @@ class TestParseMatrixText:
             parse_matrix_text("0 -1\nx 0\n", 2)
         assert "line 2, entry 1" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("0 1\n1 1\n", "line 2, entry 2: diagonal entry must be 0, got '1'"),
+            ("0 0\n1 0\n", "line 1, entry 2: off-diagonal entry must not be 0"),
+            ("0 1 1\n1 0 1\n1 1\n", "line 3, entry 3: row 3 has 2 entries, expected 3"),
+            ("0 1 1 1\n1 0 1\n1 1 0\n", "line 1, entry 4: row 1 has 4 entries, expected 3"),
+            # blank lines count in the numbering
+            ("\n\n0 1\n1 x\n", "line 4, entry 2: invalid entry 'x'"),
+            ("0 1\n\n1 1\n", "line 3, entry 2: diagonal entry"),
+        ],
+    )
+    def test_reports_the_bad_entry(self, capsys, text, where):
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix_text(text, 2)
+        assert str(exc.value).startswith(where)
+        code, out, err = run_cli(capsys, ["check"], stdin=text)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {where}")
+        assert "None" not in err
+
     def test_rejects_wrong_alphabet(self):
         with pytest.raises(MatrixParseError):
             parse_matrix_text("0 w\nw 0\n", 2)

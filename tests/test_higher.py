@@ -334,7 +334,28 @@ def _candidates_oracle(kind, norm_limit):
             yield _gcd_prime_over(kind, p, r)
 
 
+def _trace_roots(ring, p):
+    """(T +- sqrt(T^2 - 4)) / 2 mod p with T = TRACE, larger first."""
+    t = ring.TRACE
+    s, inv2 = sqrt_mod(t * t - 4, p), (p + 1) // 2
+    return sorted(((t + s) * inv2 % p, (t - s) * inv2 % p), reverse=True)
+
+
 class TestCandidates:
+    @pytest.mark.parametrize("ring, step", [(GaussianInt, 4), (EisensteinInt, 6)])
+    def test_roots_match_square_root_formula(self, ring, step):
+        # the search takes its roots as powers z^((p-1)/M); a root r and
+        # the ideal (p, zeta - r) determine each other
+        limit = 2 * 10**5
+        want = [
+            _prime_over(ring, p, r)
+            for p in range(step + 1, limit + 1, step)
+            if is_prime(p)
+            for r in _trace_roots(ring, p)
+        ]
+        assert len(want) > 17000
+        assert list(_degree_one_primary_primes(ring, limit)) == want
+
     @pytest.mark.parametrize("kind", ["eisenstein", "gaussian"])
     def test_first_candidates_match_oracle(self, kind):
         want = list(islice(_candidates_oracle(kind, 10**6), 20000))

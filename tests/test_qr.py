@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import subprocess
 import sys
 from math import factorial
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resmat
+from resmat import higher
 from resmat.errors import (
     NotAResidueMatrixError,
     SearchExhaustedError,
@@ -25,6 +27,7 @@ from resmat.matrices import (
 )
 from resmat.qr import (
     ConfigGraph,
+    _pair_diagonal,
     block_form,
     count_qr_classes,
     count_qr_matrices,
@@ -34,7 +37,6 @@ from resmat.qr import (
     jacobi_matrix,
     qr_matrix_from_primes,
     split_size,
-    square_diagonal,
     to_config_graph,
     witness_primes,
 )
@@ -127,12 +129,84 @@ class TestMembership:
                 sum(s[i][j] * s[j][i] for j in range(4) if j != i)
                 for i in range(4)
             )
-            assert square_diagonal(mat) == expected
+            assert is_qr_matrix(mat).diag == expected
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_agrees_with_block_form_oracle(self, n):
         for mat in sign_matrices(n):
             assert is_qr_matrix(mat).verdict == has_block_form(mat)
+
+
+def exponent_matrices(m, n):
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for exps in itertools.product(range(m), repeat=len(offdiag)):
+        rows = [[None] * n for _ in range(n)]
+        for (i, j), e in zip(offdiag, exps):
+            rows[i][j] = e
+        yield SignMatrix(m, tuple(map(tuple, rows)))
+
+
+def random_exponent_matrices(seed, m, count=200):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        yield SignMatrix(m, tuple(
+            tuple(None if i == j else rng.randrange(m) for j in range(n))
+            for i in range(n)
+        ))
+
+
+# i**k as (real, imaginary) parts, exactly
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _pair_diagonal_oracle(mat):
+    """The definitions, computed directly: diag(M^2) from the signs for
+    m=2; for m=4 every term of diag(M * conj(M)) real and the real parts
+    summed; for m=3 symmetry (with the all n-1 diagonal of M^2's pattern)."""
+    n = mat.n
+    if mat.m == 2:
+        s = mat.signs()
+        return True, tuple(sum(s[i][j] * s[j][i] for j in range(n)) for i in range(n))
+    if mat.m == 3:
+        return mat.is_symmetric(), (n - 1,) * n
+    ok, diag = True, []
+    for i in range(n):
+        total = 0
+        for j in range(n):
+            if i != j:
+                a, b = _I_POWERS[mat.entries[i][j]]
+                c, d = _I_POWERS[mat.entries[j][i]]
+                # (a + bi) * (c - di)
+                re, im = a * c + b * d, b * c - a * d
+                ok = ok and im == 0
+                total += re
+        diag.append(total)
+    return ok, tuple(diag)
+
+
+class TestPairDiagonal:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_definitions(self, m):
+        mats = itertools.chain(
+            *(exponent_matrices(m, n) for n in (1, 2, 3)),
+            random_exponent_matrices(m, m),
+        )
+        for mat in mats:
+            ok, diag = _pair_diagonal(mat)
+            want_ok, want_diag = _pair_diagonal_oracle(mat)
+            assert ok == want_ok, mat
+            if m != 3 or ok:
+                assert diag == want_diag, mat
+
+    def test_membership_reads_it(self):
+        for mat in random_exponent_matrices(5, 4):
+            ok, diag = _pair_diagonal(mat)
+            dec = higher.is_quartic_residue_matrix(mat)
+            assert (dec.pairwise_ok, dec.diag) == (ok, diag)
+            assert dec.verdict == (ok and split_size(diag) is not None)
+        for mat in random_exponent_matrices(6, 3):
+            assert higher.is_cubic_residue_matrix(mat) == _pair_diagonal(mat)[0]
 
 
 class TestBlockForm:
