@@ -1,7 +1,8 @@
 """Command-line front end: check, witness, count, freq, symbol subcommands.
 
 Exit codes: 0 success/member, 1 non-member or a closed standard output
-(`resmat ... | head`), 2 parse or usage error, 3 witness search exhausted.
+(`resmat ... | head`), 2 parse or usage error (or a --bound / --limit too
+large for memory), 3 witness search exhausted.
 All output is deterministic.
 """
 
@@ -137,14 +138,18 @@ def cmd_witness(args):
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
     matrix = _read_matrix(args.file, args.m)
     if args.m == 2:
-        limit = args.limit if args.limit is not None else qr.DEFAULT_PRIME_LIMIT
-        primes = qr.witness_primes(matrix, limit)
+        limit, search = qr.DEFAULT_PRIME_LIMIT, qr.witness_primes
     else:
-        limit = args.limit if args.limit is not None else higher.DEFAULT_NORM_LIMIT
-        if args.m == 3:
-            primes = higher.cubic_witness(matrix, limit)
-        else:
-            primes = higher.quartic_witness(matrix, limit)
+        limit = higher.DEFAULT_NORM_LIMIT
+        search = higher.cubic_witness if args.m == 3 else higher.quartic_witness
+    if args.limit is not None:
+        limit = args.limit
+    try:
+        primes = search(matrix, limit)
+    except (MemoryError, OverflowError):
+        # the search sieves blocks of odd numbers up to the limit
+        print(f"error: --limit {limit} is too large to search", file=sys.stderr)
+        return 2
     for p in primes:
         print(p)
     # each witness search has recomputed the primes' matrix, every symbol in
@@ -242,11 +247,12 @@ def cmd_symbol(args):
             and num.norm() % ring.RAMIFIED
         ):
             num = _primary_associate(num)
-        print(f"primary: {num} {den}")
     elif not is_prime_element(den) or not is_primary(den):
         raise ValueError(f"denominator must be a primary prime element: {den}")
     # den is a primary prime of num's ring: only coprimality is left to check
     _check_coprime(num, den)
+    if args.primary:
+        print(f"primary: {num} {den}")
     print(_SYMBOL_TOKENS[m][_residue_symbol(num, den, m)])
     return 0
 

@@ -8,7 +8,7 @@ from math import isqrt
 from .matrices import SignMatrix
 from .qr import qr_matrix_from_primes
 from .rational import odd_prime_flags
-# not called here since the scan reads (p/q) from its masks; still bound
+# not called here since the scan reads (q/p) from its masks; still bound
 # because perfbench/test_perfbench.py checks that the tracer rebinds it here
 from .rational import legendre  # noqa: F401
 from .records import Record, setfield
@@ -111,22 +111,25 @@ def configuration_class(p, q, r):
     return ConfigClass(class_id, _REPRESENTATIVES[class_id - 1])
 
 
+def _triple_code(p3, q3, r3, qp, rp, rq):
+    """The _PAIRS code of a triple p, q, r from its classes mod 4 (1 for 3 mod 4)
+    and its reverse symbols (q/p), (r/p), (r/q) (1 for -1).
+
+    The one place reciprocity is applied: (a/b) = (b/a) unless a = b = 3 (mod 4).
+    """
+    pq, pr, qr = qp ^ (p3 & q3), rp ^ (p3 & r3), rq ^ (q3 & r3)
+    return pq | qp << 1 | pr << 2 | rp << 3 | qr << 4 | rq << 5
+
+
 def exact_frequencies():
     """The exact model frequencies over the 64 equiprobable triple outcomes.
 
     Each prime is independently 1 or 3 mod 4, and each unordered pair has one
-    free symbol bit; the reverse symbol is forced by quadratic reciprocity.
+    free symbol bit; _triple_code forces the other by quadratic reciprocity.
     """
     counts = [0] * NUM_CLASSES
-    for classes in itertools.product((1, 3), repeat=3):
-        for bits in itertools.product((1, -1), repeat=3):
-            rows = [[0] * 3 for _ in range(3)]
-            for (i, j), b in zip(((0, 1), (0, 2), (1, 2)), bits):
-                rows[i][j] = b
-                both3 = classes[i] == 3 and classes[j] == 3
-                rows[j][i] = -b if both3 else b
-            code = _code_of_signs(rows)
-            counts[_CLASS_OF_CODE[code] - 1] += 1
+    for bits in itertools.product((0, 1), repeat=6):
+        counts[_CLASS_OF_CODE[_triple_code(*bits)] - 1] += 1
     return FrequencyReport(tuple(counts), 64)
 
 
@@ -148,34 +151,31 @@ def _periodic_bitset(pattern, period, size):
     return pattern & ((1 << size) - 1)
 
 
-def _nonresidue_pattern(p, squares):
-    """Int of 2p bits, bit k set when (p/r) = -1 for the odd integer r = 2k + 1.
+def _legendre_pattern(x, squares):
+    """Int of x bits, bit k set when (r/x) = -1 for the odd integer r = 2k + 1.
 
-    By quadratic reciprocity (p/r) = (r/p) * (-1)^((p-1)/2 * (r-1)/2), so it
-    depends only on r mod p (through the squares mod p) and on r mod 4: it
-    is the odd half of a pattern over r mod 4p, that is a pattern over k
-    mod 2p.  squares lists 1, 4, 9, ..., at least up to ((p - 1) / 2)^2.
+    (r/x) depends only on r mod x, and r = 2k + 1 runs over every class mod
+    x as k does, so the pattern has period x in k.  squares lists 1, 4, 9,
+    ..., at least up to ((x - 1) / 2)^2.
     """
-    residue = bytearray(b"0") * p
-    for s in squares[: (p - 1) // 2]:
-        residue[s % p] = 49  # "1"
-    nonresidue = residue.translate(bytes.maketrans(b"01", b"10"))
-    nonresidue[0] = 48  # "0": (p/p) = 0
-    pattern = nonresidue * 4
-    if p % 4 == 3:  # the sign flips for r = 3 (mod 4)
-        pattern[3::4] = (residue * 4)[3::4]
-    return _bitset(pattern[1::2])
+    nonresidue = bytearray(b"1") * x
+    nonresidue[0] = 48  # "0": (x/x) = 0
+    for s in squares[: (x - 1) // 2]:
+        nonresidue[s % x] = 48
+    return _bitset((nonresidue * 2)[1::2])
 
 
 def empirical_scan(product_bound):
     """Classify every triple of distinct odd primes p < q < r with pqr <= bound.
 
-    For fixed p < q the class of (p, q, r) depends only on (p/r), (q/r) and
-    r mod 4, since reciprocity fixes (r/p) and (r/q) from them.  So each
+    For fixed p < q the class of (p, q, r) depends only on (r/p), (r/q) and
+    r mod 4, since reciprocity fixes (p/r) and (q/r) from them.  So each
     (p, q) window of r is counted with popcounts of bitsets over the odd
-    integers (bit k stands for 2k + 1) instead of one triple at a time.
-    Every symbol mask is periodic in k, so it is built by doubling its
-    period, and only the primes that can be p or q are listed.
+    integers (bit k stands for 2k + 1) instead of one triple at a time, and
+    windows are typed by (q/p) and the classes of p and q mod 4.  The mask of
+    (r/x) has period x in k, so it is built by doubling its period, and only
+    the primes that can be p or q are listed.  Reciprocity is applied once,
+    by _triple_code, to the counts of each window type.
     """
     if product_bound < MIN_PRODUCT_BOUND:
         raise ValueError(
@@ -191,17 +191,17 @@ def empirical_scan(product_bound):
     three_mod_4 = _periodic_bitset(0b10, 2, size)
     # k^2 for every k up to (x - 1) / 2 of the largest x, shared by the masks
     squares = [k * k for k in range(1, top // 2 + 1)]
-    # N_x, bit k set when (x / 2k+1) = -1, up to the widest window x is in:
+    # N_x, bit k set when (2k+1 / x) = -1, up to the widest window x is in:
     # bound // 3x as q with p = 3, and size for x = p = 3
     nonres = [
         _periodic_bitset(
-            _nonresidue_pattern(x, squares),
-            2 * x,
+            _legendre_pattern(x, squares),
+            x,
             min(size, (product_bound // (3 * x) + 1) // 2),
         )
         for x in small
     ]
-    # Per window type t = [(p/q) = -1] | [p = 3 (mod 4)] << 1 | [q = 3] << 2,
+    # Per window type t = [(q/p) = -1] | [p = 3 (mod 4)] << 1 | [q = 3] << 2,
     # the popcounts of W & P^a & Q^b & Z^c summed at index a | b << 1 | c << 2,
     # where W is the window's primes, P = N_p, Q = N_q and Z = three_mod_4
     sums = [[0] * 8 for _ in range(8)]
@@ -216,7 +216,7 @@ def empirical_scan(product_bound):
             lo, hi = (q + 1) // 2, (product_bound // (p * q) + 1) // 2
             w = primes_bits & ((1 << hi) - (1 << lo))
             pw, qw, zw = w & nonres[ai], w & nonres[bi], w & three_mod_4
-            # (p/q) = -1 is bit (q - 1) / 2 of N_p, whose bits cover the odd
+            # (q/p) = -1 is bit (q - 1) / 2 of N_p, whose bits cover the odd
             # integers up to bound // 3p, past q as pq(q + 2) <= bound; an AND
             # with that one bit reads it without copying N_p as a shift would
             s = sums[(nonres[ai] & 1 << (q >> 1) > 0) | (p & 2) | (q & 2) << 1]
@@ -241,11 +241,8 @@ def empirical_scan(product_bound):
             for c in range(8):
                 if not c & bit:
                     cells[c] -= cells[c | bit]
-        pq, p3, q3 = t & 1, t >> 1 & 1, t >> 2
-        # reciprocity: (b/a) = (a/b) unless a = b = 3 (mod 4)
-        pair = pq | (pq ^ (p3 & q3)) << 1
+        qp, p3, q3 = t & 1, t >> 1 & 1, t >> 2
         for c, n in enumerate(cells):
-            x, y, z = c & 1, c >> 1 & 1, c >> 2
-            code = pair | x << 2 | (x ^ (p3 & z)) << 3 | y << 4 | (y ^ (q3 & z)) << 5
+            code = _triple_code(p3, q3, c >> 2, qp, c & 1, c >> 1 & 1)
             counts[_CLASS_OF_CODE[code] - 1] += n
     return FrequencyReport(tuple(counts), sum(counts))

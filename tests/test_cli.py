@@ -213,6 +213,25 @@ class TestWitness:
         assert code == 3 and out == ""
         assert err == "error: no prime <= 1 realizes column 1\n"
 
+    @pytest.mark.parametrize("m, text", [(2, QR_TEXT), (3, CUBIC_TEXT), (4, QUARTIC_TEXT)])
+    @pytest.mark.parametrize("error", [MemoryError, OverflowError])
+    def test_limit_too_large_exit_2(self, capsys, monkeypatch, m, text, error):
+        # every witness search sieves its candidates through odd_prime_flags;
+        # past a small bound it fails as a sieve of 10**12 would
+        from resmat import rational
+
+        original = rational.odd_prime_flags
+
+        def failing(bound, lo=1):
+            if bound > 100:
+                raise error
+            return original(bound, lo)
+
+        monkeypatch.setattr(rational, "odd_prime_flags", failing)
+        argv = ["witness", "--m", str(m), "--limit", str(10**12)]
+        code, out, err = run_cli(capsys, argv, stdin=text)
+        assert (code, out, err) == (2, "", f"error: --limit {10**12} is too large to search\n")
+
     def test_cubic(self, capsys):
         code, out, _ = run_cli(capsys, ["witness", "--m", "3"], stdin=CUBIC_TEXT)
         assert code == 0
@@ -547,6 +566,23 @@ class TestSymbolErrors:
         code, out, err = run_cli(
             capsys, ["symbol", "--kind", kind, "--num", num, "--den", den]
         )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "kind, num, den, message",
+        [
+            ("cubic", "7", "3+w", "7 is divisible by -2-3w; symbol undefined"),
+            ("cubic", "-3+w", "4+3w", "4+3w is divisible by 4+3w; symbol undefined"),
+            ("cubic", "0", "4+3w", "0 is divisible by 4+3w; symbol undefined"),
+            ("quartic", "5", "1+2i", "5 is divisible by -1-2i; symbol undefined"),
+            ("quartic", "2+3i", "3-2i", "3-2i is divisible by 3-2i; symbol undefined"),
+            ("quartic", "6+4i", "3+2i", "6+4i is divisible by 3+2i; symbol undefined"),
+        ],
+    )
+    def test_one_error_line_with_primary(self, capsys, kind, num, den, message):
+        # the primary associates are printed only once the symbol is defined
+        argv = ["symbol", "--kind", kind, "--num", num, "--den", den, "--primary"]
+        code, out, err = run_cli(capsys, argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import isqrt
 
 import pytest
@@ -15,9 +15,10 @@ from resmat.frequencies import (
     _CLASS_CODES,
     _CLASS_OF_CODE,
     _code_of_signs,
+    _legendre_pattern,
     _matrix_of_code,
-    _nonresidue_pattern,
     _periodic_bitset,
+    _triple_code,
     class_representatives,
     configuration_class,
     empirical_scan,
@@ -29,7 +30,7 @@ from resmat.rational import legendre, sieve_primes
 
 ORACLE_MAX_BOUND = 2 * 10**5
 
-# 1, 4, ..., 1000^2: enough squares for _nonresidue_pattern(x) with x <= 2001
+# 1, 4, ..., 1000^2: enough squares for _legendre_pattern(x) with x <= 2001
 SQUARES = [k * k for k in range(1, 1001)]
 
 
@@ -118,6 +119,32 @@ class TestConfigurationClass:
             configuration_class(2, 3, 7)
         with pytest.raises(ValueError):
             configuration_class(3, 7, 15)
+
+
+def _reciprocity_code(p3, q3, r3, qp, rp, rq):
+    """The 3x3 sign rows of a triple, the forward symbol of each pair forced
+    from the reverse one (b/a) by reciprocity, as a _PAIRS code."""
+    classes = (p3, q3, r3)
+    rows = [[0] * 3 for _ in range(3)]
+    for (i, j), bit in zip(((0, 1), (0, 2), (1, 2)), (qp, rp, rq)):
+        b = -1 if bit else 1
+        rows[j][i] = b
+        both3 = classes[i] and classes[j]
+        rows[i][j] = -b if both3 else b
+    return _code_of_signs(rows)
+
+
+class TestTripleCode:
+    def test_matches_reciprocity_rows(self):
+        for bits in product((0, 1), repeat=6):
+            assert _triple_code(*bits) == _reciprocity_code(*bits), bits
+
+    def test_agrees_with_legendre_symbols(self):
+        for p, q, r in _triples(20000):
+            bits = [x % 4 == 3 for x in (p, q, r)]
+            bits += [legendre(a, b) == -1 for a, b in ((q, p), (r, p), (r, q))]
+            code = _code_of_signs(qr_matrix_from_primes((p, q, r)).signs())
+            assert _triple_code(*map(int, bits)) == code, (p, q, r)
 
 
 class TestExactFrequencies:
@@ -245,7 +272,8 @@ class TestPeriodicBitset:
             (0b101, 3),
             (0b0110, 4),
             (0b1000000001101, 13),
-            (_nonresidue_pattern(7, SQUARES), 14),
+            (0b100111100100, 14),
+            (_legendre_pattern(7, SQUARES), 7),
         ],
     )
     def test_matches_bit_by_bit_repeat(self, pattern, period):
@@ -259,14 +287,12 @@ class TestPeriodicBitset:
 
 class TestNonresidueMask:
     def test_agrees_with_euler_criterion(self):
-        # bit (r - 1) / 2 of N_x is set exactly when (x / r) = -1, for r != x,
-        # and clear at r = x, where the symbol is 0
-        odd = sieve_primes(10**4)[1:]
-        for x in odd[: bisect_right(odd, 2000)]:
-            mask = _periodic_bitset(_nonresidue_pattern(x, SQUARES), 2 * x, 10**4 // 2)
-            for r in odd:
-                want = r != x and legendre(x, r) == -1
-                assert (mask >> (r - 1) // 2 & 1) == want, (x, r)
+        # bit (r - 1) / 2 of N_x is set exactly when (r / x) = -1, for every
+        # odd r, and clear on the multiples of x, where the symbol is 0
+        for x in sieve_primes(2000)[1:]:
+            mask = _periodic_bitset(_legendre_pattern(x, SQUARES), x, 10**4 // 2)
+            want = sum(1 << r // 2 for r in range(1, 10**4, 2) if legendre(r, x) == -1)
+            assert mask == want, x
 
     def test_three_mod_4_mask(self):
         # bit k stands for the odd integer 2k + 1
