@@ -35,7 +35,6 @@ from .higher import (
     cubic_witness,
     is_cubic_residue_matrix,
     is_quartic_residue_matrix,
-    quartic_block_form,
     quartic_matrix,
     quartic_witness,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "parse_element",
     "primary_generator",
     "qr_matrix_from_primes",
-    "quartic_block_form",
     "quartic_matrix",
     "quartic_symbol",
     "quartic_witness",

@@ -110,8 +110,7 @@ def cmd_check(args):
     else:
         decide = qr.is_qr_matrix if args.m == 2 else higher.is_quartic_residue_matrix
         dec = decide(matrix)
-        # the block form is read off this decision, not decided again
-        perm = qr._block_decomposition(dec.diag, dec.s).perm if dec.verdict else None
+        perm = qr.block_form(matrix).perm if dec.verdict else None
         payload = {
             "verdict": dec.verdict,
             "s": dec.s,

@@ -28,7 +28,7 @@ class _QuadraticInt(Record):
     - TRACE: zeta + conj(zeta), so zeta**2 = TRACE*zeta - 1.
     - RAMIFIED: the rational prime ramified in the ring.
     - PRIMARY: the pairs (a % M, b % M) of the primary elements; the
-      quartic witness asks for PRIMARY[1] on the skew block.
+      witness search asks for PRIMARY[-1] on the skew block.
     - UNITS: all units, with UNITS[e] = zeta**e for e < M.
     """
 

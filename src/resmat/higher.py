@@ -1,4 +1,4 @@
-"""Cubic and quartic residue matrices: membership, block form, and witnesses."""
+"""Cubic and quartic residue matrices: membership and witnesses."""
 
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from .cyclotomic import (
     is_primary,
     is_prime_element,
 )
-from .errors import NotAResidueMatrixError, SearchExhaustedError
+from .errors import SearchExhaustedError
 from .matrices import SignMatrix
-from .qr import _block_decomposition, _pair_diagonal, _replay, split_size
+from .qr import _pair_diagonal, _replay, block_form, split_size
 from .rational import class_primes, odd_prime_blocks
 from .records import Record, setfield
 
@@ -61,20 +61,17 @@ def _validate_primary_primes(primes, ring):
     return primes
 
 
-def _symbol_matrix(primes, ring, m):
+def _symbol_matrix(primes, ring):
     # distinct primary primes validated once: no modulus divides another
     # prime, so the entries skip the public symbols' checks
     primes = _validate_primary_primes(primes, ring)
-    ent = tuple(
-        tuple(None if p == q else _residue_symbol(p, q, m) for q in primes)
-        for p in primes
-    )
-    return SignMatrix(m, ent)
+    m = ring.M
+    return SignMatrix.from_symbol(m, primes, lambda p, q: _residue_symbol(p, q, m))
 
 
 def cubic_matrix(primes):
     """The matrix of cubic symbols (pi_i / pi_j)_3 for primary Eisenstein primes."""
-    return _symbol_matrix(primes, EisensteinInt, 3)
+    return _symbol_matrix(primes, EisensteinInt)
 
 
 def is_cubic_residue_matrix(matrix):
@@ -86,7 +83,7 @@ def is_cubic_residue_matrix(matrix):
 
 def quartic_matrix(primes):
     """The matrix of quartic symbols (pi_j / pi_k)_4 for primary Gaussian primes."""
-    return _symbol_matrix(primes, GaussianInt, 4)
+    return _symbol_matrix(primes, GaussianInt)
 
 
 def is_quartic_residue_matrix(matrix):
@@ -96,16 +93,6 @@ def is_quartic_residue_matrix(matrix):
     pairwise_ok, diag = _pair_diagonal(matrix)
     s = split_size(diag) if pairwise_ok else None
     return QuarticDecision(pairwise_ok and s is not None, s, pairwise_ok, diag)
-
-
-def quartic_block_form(matrix):
-    """Permutation and split size realizing the quartic block form."""
-    dec = is_quartic_residue_matrix(matrix)
-    if not dec.verdict:
-        raise NotAResidueMatrixError(
-            f"pairwise_ok={dec.pairwise_ok}, diag={dec.diag}: not a quartic residue matrix"
-        )
-    return _block_decomposition(dec.diag, dec.s)
 
 
 # --- deterministic witness search ---
@@ -154,23 +141,30 @@ def _degree_one_primary_primes(ring, norm_limit):
             yield _prime_over(ring, p, r)
 
 
-def _scan_witnesses(matrix, ring, skew, norm_limit):
+def _scan_witnesses(matrix, ring, build, norm_limit):
     # Column k takes the first candidate, in ascending norm, that is in the
-    # primary class the column asks for (PRIMARY[1] on the skew block), is
-    # not yet chosen and matches the symbols against every earlier choice in
-    # both directions.  The candidates are generated once per search and
+    # primary class the column asks for, is not yet chosen and matches the
+    # symbols against every earlier choice in both directions.  The class is
+    # PRIMARY[-1] on the skew block of qr.block_form and PRIMARY[0] elsewhere:
+    # 3+2i and 1 mod 4 in Z[i]; Z[w] has one class, as the cubic symbol has
+    # no reciprocity sign.  The candidates are generated once per search and
     # each column walks them from the start, so it finds what a fresh scan
     # would find and counts the same tried.  A primary generator is unique
     # per prime ideal, so a chosen prime is found by equality, and the moduli
     # are primary primes by construction, so the symbols skip the public
-    # functions' checks.
+    # functions' checks.  build (cubic_matrix resp. quartic_matrix) checks
+    # the result, every symbol in both directions.
     m = ring.M
+    if matrix.m != m:
+        raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
+    bd = block_form(matrix)
+    skew = set(bd.perm[: bd.s])
     source = _degree_one_primary_primes(ring, norm_limit)
     drawn = []
     chosen = []
     for k in range(matrix.n):
         row = matrix.entries[k]
-        primary = ring.PRIMARY[k in skew]
+        primary = ring.PRIMARY[-1 if k in skew else 0]
         tried = 0
         for cand in _replay(drawn, source):
             tried += 1
@@ -190,17 +184,14 @@ def _scan_witnesses(matrix, ring, skew, norm_limit):
                 column=k + 1,
                 tried=tried,
             )
+    if build(chosen) != matrix:
+        raise RuntimeError(f"witness {chosen} does not reproduce the matrix")
     return chosen
 
 
 def cubic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
     """Distinct primary Eisenstein primes whose cubic matrix equals the input."""
-    if not is_cubic_residue_matrix(matrix):
-        raise NotAResidueMatrixError("matrix is not symmetric")
-    chosen = _scan_witnesses(matrix, EisensteinInt, (), norm_limit)
-    if cubic_matrix(chosen) != matrix:
-        raise RuntimeError(f"cubic witness {chosen} does not reproduce the matrix")
-    return chosen
+    return _scan_witnesses(matrix, EisensteinInt, cubic_matrix, norm_limit)
 
 
 def quartic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
@@ -208,9 +199,4 @@ def quartic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
 
     Skew-block indices get generators = 3+2i mod 4, the rest = 1 mod 4.
     """
-    bd = quartic_block_form(matrix)
-    skew = set(bd.perm[: bd.s])
-    chosen = _scan_witnesses(matrix, GaussianInt, skew, norm_limit)
-    if quartic_matrix(chosen) != matrix:
-        raise RuntimeError(f"quartic witness {chosen} does not reproduce the matrix")
-    return chosen
+    return _scan_witnesses(matrix, GaussianInt, quartic_matrix, norm_limit)

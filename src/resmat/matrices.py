@@ -76,6 +76,15 @@ class SignMatrix(Record):
         )
         return cls(2, ent)
 
+    @classmethod
+    def from_symbol(cls, m, items, exponent):
+        """The m-matrix of exponent(x_i, x_j) off the diagonal, zero on it."""
+        ent = tuple(
+            tuple(None if i == j else exponent(x, y) for j, y in enumerate(items))
+            for i, x in enumerate(items)
+        )
+        return cls(m, ent)
+
     def signs(self):
         """Rows of 0 / +1 / -1 values (m=2 only)."""
         if self.m != 2:

@@ -43,6 +43,11 @@ class QrDecision(Record):
         setfield(self, "diag", diag)
 
 
+def _sign_exponent(symbol):
+    """symbol(a, b) = +1 resp. -1 as the exponent 0 resp. 1 of -1."""
+    return lambda a, b: (1 - symbol(a, b)) // 2
+
+
 def qr_matrix_from_primes(primes):
     """The sign matrix of Legendre symbols (p_i / p_j) for distinct odd primes."""
     primes = list(primes)
@@ -51,12 +56,7 @@ def qr_matrix_from_primes(primes):
     for p in primes:
         if p % 2 == 0 or not is_prime(p):
             raise ValueError(f"not an odd prime: {p}")
-    n = len(primes)
-    rows = tuple(
-        tuple(0 if i == j else legendre(primes[i], primes[j]) for j in range(n))
-        for i in range(n)
-    )
-    return SignMatrix.from_signs(rows)
+    return SignMatrix.from_symbol(2, primes, _sign_exponent(legendre))
 
 
 def _pair_diagonal(matrix):
@@ -107,19 +107,16 @@ def is_qr_matrix(matrix):
 def block_form(matrix):
     """A permutation and split size realizing the skew/symmetric block form.
 
-    Indices with squared-diagonal entry n+1-2s come first, in stable order;
-    for a fully symmetric matrix (s=1) the first index is designated as the
-    1x1 skew block.
+    One form for m = 2, 3, 4, decided by _pair_diagonal and split_size: the
+    indices whose diagonal entry is n+1-2s come first, in stable order.  A
+    symmetric matrix, every cubic member among them, has s=1, and its first
+    index is designated as the 1x1 skew block.
     """
-    dec = is_qr_matrix(matrix)
-    if not dec.verdict:
-        raise NotAResidueMatrixError(f"diag(M^2) = {dec.diag} matches no split size")
-    return _block_decomposition(dec.diag, dec.s)
-
-
-def _block_decomposition(diag, s):
+    pairwise_ok, diag = _pair_diagonal(matrix)
+    s = split_size(diag) if pairwise_ok else None
+    if s is None:
+        raise NotAResidueMatrixError(f"not a residue matrix for m={matrix.m}")
     n = len(diag)
-    # the entries off n-1 are those n+1-2s; a symmetric matrix designates 0
     skew = [i for i, d in enumerate(diag) if d != n - 1] or [0]
     rest = [i for i in range(n) if i not in skew]
     return BlockDecomposition(tuple(skew + rest), s)
@@ -157,9 +154,9 @@ def witness_primes(matrix, limit):
     matrix takes about 50 ms on a 2-vCPU host, 130 ms with a legendre call
     per symbol.
     """
+    signs = matrix.signs()  # a ValueError for m != 2
     bd = block_form(matrix)
     skew = set(bd.perm[: bd.s])
-    signs = matrix.signs()
     primes = []
     blocks = []
     source = odd_prime_blocks(limit)
@@ -203,12 +200,7 @@ def jacobi_matrix(values):
     for a, b in itertools.combinations(values, 2):
         if gcd(a, b) != 1:
             raise ValueError(f"values are not pairwise coprime: {a}, {b}")
-    n = len(values)
-    rows = tuple(
-        tuple(0 if i == j else jacobi(values[i], values[j]) for j in range(n))
-        for i in range(n)
-    )
-    return SignMatrix.from_signs(rows)
+    return SignMatrix.from_symbol(2, values, _sign_exponent(jacobi))
 
 
 # --- counting ---

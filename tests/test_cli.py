@@ -188,9 +188,12 @@ class TestWitness:
         lines = out.strip().splitlines()
         assert lines == ["3", "7", "13", "VERIFIED"]
 
-    def test_non_member_exit_1(self, capsys):
-        code, _, err = run_cli(capsys, ["witness"], stdin=NON_QR_TEXT)
-        assert code == 1
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_non_member_exit_1(self, capsys, m):
+        text = {2: NON_QR_TEXT, 3: "0 w\nw2 0\n", 4: QUARTIC_BAD_TEXT}[m]
+        code, out, err = run_cli(capsys, ["witness", "--m", str(m)], stdin=text)
+        assert code == 1 and out == ""
+        assert err == f"error: not a residue matrix for m={m}\n"
 
     def test_exhausted_exit_3(self, capsys):
         code, _, err = run_cli(

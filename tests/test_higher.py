@@ -25,11 +25,11 @@ from resmat.higher import (
     cubic_witness,
     is_cubic_residue_matrix,
     is_quartic_residue_matrix,
-    quartic_block_form,
     quartic_matrix,
     quartic_witness,
 )
-from resmat.matrices import SignMatrix, conjugate
+from resmat.matrices import SignMatrix
+from resmat.qr import block_form, witness_primes
 from resmat.rational import is_prime, sqrt_mod
 
 EIS_FIXTURE = [EisensteinInt(-2, -3), EisensteinInt(4, 3)]
@@ -202,24 +202,6 @@ class TestQuarticMatrix:
         assert is_quartic_residue_matrix(mat).verdict
 
 
-class TestQuarticBlockForm:
-    def test_blocks_shape_exhaustive_n3(self):
-        for mat in quartic_members(3):
-            bd = quartic_block_form(mat)
-            moved = conjugate(mat, bd.perm)
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    d = (moved.entries[i][j] - moved.entries[j][i]) % 4
-                    if i < bd.s and j < bd.s:
-                        assert d == 2
-                    else:
-                        assert d == 0
-
-    def test_non_member_raises(self):
-        with pytest.raises(NotAResidueMatrixError):
-            quartic_block_form(SignMatrix(4, ((None, 1), (0, None))))
-
-
 class TestWitnesses:
     def test_cubic_fixture_roundtrip(self):
         mat = cubic_matrix(EIS_FIXTURE)
@@ -294,7 +276,7 @@ class TestWitnesses:
         for mat in rng.sample(mats, 10):
             primes = quartic_witness(mat)
             assert quartic_matrix(primes) == mat
-            bd = quartic_block_form(mat)
+            bd = block_form(mat)
             skew = set(bd.perm[: bd.s])
             for k, p in enumerate(primes):
                 want = (3, 2) if k in skew else (1, 0)
@@ -439,6 +421,25 @@ def test_limit_below_three_exhausts_first_column(witness, norm_limit):
     assert (got.value.limit, got.value.column, got.value.tried) == (norm_limit, 1, 0)
 
 
+@pytest.mark.parametrize(
+    "witness, m",
+    [
+        (witness, m)
+        for witness, own_m in (
+            (witness_primes, 2), (cubic_witness, 3), (quartic_witness, 4)
+        )
+        for m in (2, 3, 4)
+        if m != own_m
+    ],
+)
+def test_witness_rejects_other_m(witness, m):
+    # symmetric, so a member for every m: only the m check can reject it
+    mat = SignMatrix(m, ((None, 1), (1, None)))
+    with pytest.raises(ValueError) as got:
+        witness(mat, 100)
+    assert type(got.value) is ValueError
+
+
 def _witness_oracle(matrix, norm_limit):
     """The restart-per-column scan: each column regenerates the candidates
     by trial from norm 3, skips chosen ideals by same_ideal and compares both
@@ -447,7 +448,7 @@ def _witness_oracle(matrix, norm_limit):
         kind, symbol, class_filter = "eisenstein", cubic_symbol, None
     else:
         kind, symbol = "gaussian", quartic_symbol
-        bd = quartic_block_form(matrix)
+        bd = block_form(matrix)
         skew = set(bd.perm[: bd.s])
 
         def class_filter(k, cand):

@@ -229,21 +229,39 @@ class TestBlockForm:
         bd = block_form(sym)
         assert bd.s == 1 and bd.perm[0] == 0
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_blocks_are_skew_and_symmetric(self, n):
-        for mat in sign_matrices(n):
-            dec = is_qr_matrix(mat)
-            if not dec.verdict:
-                continue
-            bd = block_form(mat)
-            moved = conjugate(mat, bd.perm)
-            s = moved.signs()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if i < bd.s and j < bd.s:
-                        assert s[i][j] == -s[j][i]
-                    else:
-                        assert s[i][j] == s[j][i]
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_blocks_are_skew_and_symmetric(self, m):
+        """Every matrix with n <= 4 for m=2, n <= 3 for m=3, 4: a member's
+        conjugate by perm has the pair term -1 exactly inside the s x s block
+        and +1 elsewhere, and a non-member raises."""
+        max_n = 4 if m == 2 else 3
+        decide = {
+            2: lambda mat: is_qr_matrix(mat).verdict,
+            3: higher.is_cubic_residue_matrix,
+            4: lambda mat: higher.is_quartic_residue_matrix(mat).verdict,
+        }[m]
+        members = 0
+        for n in range(1, max_n + 1):
+            for mat in exponent_matrices(m, n):
+                if not decide(mat):
+                    with pytest.raises(NotAResidueMatrixError, match=f"m={m}"):
+                        block_form(mat)
+                    continue
+                members += 1
+                bd = block_form(mat)
+                moved = conjugate(mat, bd.perm).entries
+                for i, j in itertools.combinations(range(n), 2):
+                    # the term zeta^d is -1 exactly when 2d = m
+                    d = (moved[i][j] - moved[j][i]) % m
+                    assert 2 * d == (m if j < bd.s else 0), (mat, bd)
+                if mat.is_symmetric():
+                    assert bd.s == 1 and bd.perm[0] == 0
+        # 2^n - n red sets times m^(n(n-1)/2) upper triangles for m = 2, 4;
+        # the symmetric matrices for m = 3
+        assert members == sum(
+            (1 if m == 3 else (1 << n) - n) * m ** (n * (n - 1) // 2)
+            for n in range(1, max_n + 1)
+        )
 
 
 class TestWitness:
