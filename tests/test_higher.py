@@ -28,7 +28,7 @@ from resmat.higher import (
     quartic_matrix,
     quartic_witness,
 )
-from resmat.matrices import SignMatrix
+from resmat.matrices import SignMatrix, conjugate
 from resmat.qr import block_form, witness_primes
 from resmat.rational import is_prime, sqrt_mod
 
@@ -200,6 +200,26 @@ class TestQuarticMatrix:
         assert is_quartic_residue_matrix(mat).verdict
         mat = quartic_matrix(pool[2:])
         assert is_quartic_residue_matrix(mat).verdict
+
+
+class TestQuarticBlockForm:
+    """qr.block_form on m=4 matrices: the skew block has pair term -1."""
+
+    def test_blocks_shape_exhaustive_n3(self):
+        for mat in quartic_members(3):
+            bd = block_form(mat)
+            moved = conjugate(mat, bd.perm)
+            for i in range(3):
+                for j in range(i + 1, 3):
+                    d = (moved.entries[i][j] - moved.entries[j][i]) % 4
+                    if i < bd.s and j < bd.s:
+                        assert d == 2
+                    else:
+                        assert d == 0
+
+    def test_non_member_raises(self):
+        with pytest.raises(NotAResidueMatrixError, match="m=4"):
+            block_form(SignMatrix(4, ((None, 1), (0, None))))
 
 
 class TestWitnesses:
