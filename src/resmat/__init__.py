@@ -30,7 +30,6 @@ from .frequencies import (
     exact_frequencies,
 )
 from .higher import (
-    QuarticDecision,
     cubic_matrix,
     cubic_witness,
     is_cubic_residue_matrix,
@@ -39,7 +38,6 @@ from .higher import (
     quartic_witness,
 )
 from .matrices import (
-    BlockDecomposition,
     SignMatrix,
     canonical_form,
     conjugate,
@@ -49,10 +47,11 @@ from .matrices import (
 )
 from .qr import (
     ConfigGraph,
-    QrDecision,
+    Decision,
     block_form,
     count_qr_classes,
     count_qr_matrices,
+    decide,
     from_config_graph,
     is_qr_matrix,
     jacobi_matrix,
@@ -63,15 +62,13 @@ from .qr import (
 from .rational import is_prime, jacobi, legendre, sieve_primes
 
 __all__ = [
-    "BlockDecomposition",
     "ConfigClass",
     "ConfigGraph",
+    "Decision",
     "EisensteinInt",
     "FrequencyReport",
     "GaussianInt",
     "NotAResidueMatrixError",
-    "QrDecision",
-    "QuarticDecision",
     "RamifiedPrimeError",
     "SearchExhaustedError",
     "SignMatrix",
@@ -88,6 +85,7 @@ __all__ = [
     "cubic_matrix",
     "cubic_symbol",
     "cubic_witness",
+    "decide",
     "empirical_scan",
     "equivalence_classes",
     "exact_frequencies",

@@ -105,31 +105,25 @@ def _print_json(payload):
 
 def cmd_check(args):
     matrix = _read_matrix(args.file, args.m)
-    if args.m == 3:
-        payload = {"verdict": higher.is_cubic_residue_matrix(matrix)}
-    else:
-        decide = qr.is_qr_matrix if args.m == 2 else higher.is_quartic_residue_matrix
-        dec = decide(matrix)
-        perm = qr.block_form(matrix).perm if dec.verdict else None
-        payload = {
-            "verdict": dec.verdict,
-            "s": dec.s,
-            "diag": list(dec.diag),
-            "perm": _perm_1based(perm) if perm else None,
-        }
-        if args.m == 4:
-            payload["pairwise_ok"] = dec.pairwise_ok
+    dec = qr.decide(matrix)
+    payload = {
+        "verdict": dec.verdict,
+        "s": dec.s,
+        "diag": list(dec.diag),
+        "perm": _perm_1based(dec.perm) if dec.perm else None,
+    }
+    if args.m != 2:  # every pair term of an m=2 matrix is +-1
+        payload["pairwise_ok"] = dec.pairwise_ok
     if args.json:
         _print_json(payload)
     else:
-        print(f"verdict: {'yes' if payload['verdict'] else 'no'}")
-        if payload.get("s") is not None:
-            print(f"s: {payload['s']}")
-        if "diag" in payload:
-            print("diag:", " ".join(str(d) for d in payload["diag"]))
-        if payload.get("perm"):
+        print(f"verdict: {'yes' if dec.verdict else 'no'}")
+        if dec.s is not None:
+            print(f"s: {dec.s}")
+        print("diag:", " ".join(str(d) for d in dec.diag))
+        if dec.perm:
             print("perm:", " ".join(str(p) for p in payload["perm"]))
-    return 0 if payload["verdict"] else 1
+    return 0 if dec.verdict else 1
 
 
 def cmd_witness(args):

@@ -16,31 +16,10 @@ from .cyclotomic import (
 )
 from .errors import SearchExhaustedError
 from .matrices import SignMatrix
-from .qr import _pair_diagonal, _replay, block_form, split_size
+from .qr import _replay, block_form, decide
 from .rational import class_primes, odd_prime_blocks
-from .records import Record, setfield
 
 DEFAULT_NORM_LIMIT = 10**6
-
-
-class QuarticDecision(Record):
-    """Membership verdict for quartic sign matrices.
-
-    pairwise_ok records the m_jk = +-m_kj condition; diag is the diagonal of
-    M * conj(M) (real parts, each off-term +-1 when pairwise_ok holds).
-    """
-
-    __slots__ = ("verdict", "s", "pairwise_ok", "diag")
-    verdict: bool
-    s: int | None
-    pairwise_ok: bool
-    diag: tuple[int, ...]
-
-    def __init__(self, verdict, s, pairwise_ok, diag):
-        setfield(self, "verdict", verdict)
-        setfield(self, "s", s)
-        setfield(self, "pairwise_ok", pairwise_ok)
-        setfield(self, "diag", diag)
 
 
 def _validate_primary_primes(primes, ring):
@@ -75,10 +54,10 @@ def cubic_matrix(primes):
 
 
 def is_cubic_residue_matrix(matrix):
-    """Membership iff symmetric: the m=3 case of qr._pair_diagonal's criterion."""
+    """The verdict of qr.decide for an m=3 matrix: membership iff symmetric."""
     if matrix.m != 3:
         raise ValueError("expected a cubic (m=3) sign matrix")
-    return matrix.is_symmetric()
+    return decide(matrix).verdict
 
 
 def quartic_matrix(primes):
@@ -87,12 +66,10 @@ def quartic_matrix(primes):
 
 
 def is_quartic_residue_matrix(matrix):
-    """Membership by qr._pair_diagonal: every m_jk = +-m_kj, diag(M conj(M)) split."""
+    """The qr.decide decision for an m=4 matrix: diag is diag(M conj(M))."""
     if matrix.m != 4:
         raise ValueError("expected a quartic (m=4) sign matrix")
-    pairwise_ok, diag = _pair_diagonal(matrix)
-    s = split_size(diag) if pairwise_ok else None
-    return QuarticDecision(pairwise_ok and s is not None, s, pairwise_ok, diag)
+    return decide(matrix)
 
 
 # --- deterministic witness search ---

@@ -125,23 +125,6 @@ class SignMatrix(Record):
         return tuple(_entry_key(e) for row in self.entries for e in row)
 
 
-class BlockDecomposition(Record):
-    """A permutation and split size realizing the skew/symmetric block form.
-
-    Applying ``perm`` to the source matrix puts the s skew-block indices
-    first, so the conjugate has an s x s skew-symmetric upper-left block and
-    an (n-s) x (n-s) symmetric lower-right block.
-    """
-
-    __slots__ = ("perm", "s")
-    perm: tuple[int, ...]
-    s: int
-
-    def __init__(self, perm, s):
-        setfield(self, "perm", perm)
-        setfield(self, "s", s)
-
-
 # Permutations are tuples of 0-based images: sigma[i] is the image of i.
 
 

@@ -12,7 +12,6 @@ from .errors import (
 )
 from .matrices import (
     COUNT_MAX_N,
-    BlockDecomposition,
     SignMatrix,
     orbit_class_count,
     pair_orbit_count,
@@ -25,22 +24,29 @@ COUNT_MIN_N = 2
 DEFAULT_PRIME_LIMIT = 10**7
 
 
-class QrDecision(Record):
-    """Membership verdict for the squared-diagonal criterion.
+class Decision(Record):
+    """One membership decision for m = 2, 3, 4 (decide).
 
-    diag holds the diagonal of M^2 over the integers; s is the valid split
-    size (smallest when several match) and is None for non-members.
+    diag holds the pair terms summed by row and pairwise_ok says whether
+    every term is +1 or -1 (_pair_diagonal).  For a member, s is the split
+    size (smallest when several match) and perm puts the s skew-block
+    indices first, so the conjugate by perm has an s x s skew-symmetric
+    upper-left block and a symmetric rest; both are None for a non-member.
     """
 
-    __slots__ = ("verdict", "s", "diag")
+    __slots__ = ("verdict", "s", "pairwise_ok", "diag", "perm")
     verdict: bool
     s: int | None
+    pairwise_ok: bool
     diag: tuple[int, ...]
+    perm: tuple[int, ...] | None
 
-    def __init__(self, verdict, s, diag):
+    def __init__(self, verdict, s, pairwise_ok, diag, perm):
         setfield(self, "verdict", verdict)
         setfield(self, "s", s)
+        setfield(self, "pairwise_ok", pairwise_ok)
         setfield(self, "diag", diag)
+        setfield(self, "perm", perm)
 
 
 def _sign_exponent(symbol):
@@ -95,31 +101,37 @@ def split_size(diag):
     return None
 
 
-def is_qr_matrix(matrix):
-    """Membership: the diagonal of M^2 has the split pattern (_pair_diagonal)."""
-    if matrix.m != 2:
-        raise ValueError("QR membership is defined for m=2 sign matrices")
-    _, diag = _pair_diagonal(matrix)
-    s = split_size(diag)
-    return QrDecision(s is not None, s, diag)
+def decide(matrix):
+    """Membership for m = 2, 3, 4 from one pass of _pair_diagonal.
 
-
-def block_form(matrix):
-    """A permutation and split size realizing the skew/symmetric block form.
-
-    One form for m = 2, 3, 4, decided by _pair_diagonal and split_size: the
-    indices whose diagonal entry is n+1-2s come first, in stable order.  A
-    symmetric matrix, every cubic member among them, has s=1, and its first
-    index is designated as the 1x1 skew block.
+    A member has every pair term +-1 and a diagonal with the pattern of
+    split_size.  Its skew block is the indices whose diagonal entry is
+    n+1-2s, in stable order; a symmetric matrix, every cubic member among
+    them, has s=1, and its first index is designated as the 1x1 skew block.
     """
     pairwise_ok, diag = _pair_diagonal(matrix)
     s = split_size(diag) if pairwise_ok else None
     if s is None:
-        raise NotAResidueMatrixError(f"not a residue matrix for m={matrix.m}")
+        return Decision(False, None, pairwise_ok, diag, None)
     n = len(diag)
     skew = [i for i, d in enumerate(diag) if d != n - 1] or [0]
     rest = [i for i in range(n) if i not in skew]
-    return BlockDecomposition(tuple(skew + rest), s)
+    return Decision(True, s, pairwise_ok, diag, tuple(skew + rest))
+
+
+def is_qr_matrix(matrix):
+    """The decision for an m=2 matrix: diag is the diagonal of M^2."""
+    if matrix.m != 2:
+        raise ValueError("QR membership is defined for m=2 sign matrices")
+    return decide(matrix)
+
+
+def block_form(matrix):
+    """The member's decision, for its perm and s; a non-member raises."""
+    dec = decide(matrix)
+    if not dec.verdict:
+        raise NotAResidueMatrixError(f"not a residue matrix for m={matrix.m}")
+    return dec
 
 
 def _replay(drawn, source):

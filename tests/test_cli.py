@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import resmat
+from resmat import qr
 from resmat.cli import (
     MatrixParseError,
     _format_freq,
@@ -121,6 +122,55 @@ class TestCheck:
         assert code == 0
         code, _, _ = run_cli(capsys, ["check", "--m", "3"], stdin="0 w\nw2 0\n")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, code, printed, payload",
+        [
+            (
+                "0 w w2\nw 0 1\nw2 1 0\n",
+                0,
+                "verdict: yes\ns: 1\ndiag: 2 2 2\nperm: 1 2 3\n",
+                '{"diag": [2, 2, 2], "pairwise_ok": true, "perm": [1, 2, 3], '
+                '"s": 1, "verdict": true}\n',
+            ),
+            (
+                # the pair (2, 3) has the term w, so it adds to no row
+                "0 w 1\nw 0 w2\n1 w 0\n",
+                1,
+                "verdict: no\ndiag: 2 1 1\n",
+                '{"diag": [2, 1, 1], "pairwise_ok": false, "perm": null, '
+                '"s": null, "verdict": false}\n',
+            ),
+        ],
+    )
+    def test_cubic_output(self, capsys, text, code, printed, payload):
+        assert run_cli(capsys, ["check", "--m", "3"], stdin=text) == (code, printed, "")
+        assert run_cli(capsys, ["check", "--m", "3", "--json"], stdin=text) == (
+            code, payload, ""
+        )
+
+    @pytest.mark.parametrize(
+        "m, text, code",
+        [
+            (2, QR_TEXT, 0),
+            (2, NON_QR_TEXT, 1),
+            (3, CUBIC_TEXT, 0),
+            (3, "0 w\nw2 0\n", 1),
+            (4, QUARTIC_TEXT, 0),
+            (4, QUARTIC_BAD_TEXT, 1),
+        ],
+    )
+    def test_one_pair_pass(self, capsys, monkeypatch, m, text, code):
+        calls = []
+        pair_diagonal = qr._pair_diagonal
+
+        def counted(matrix):
+            calls.append(matrix)
+            return pair_diagonal(matrix)
+
+        monkeypatch.setattr(qr, "_pair_diagonal", counted)
+        assert run_cli(capsys, ["check", "--m", str(m)], stdin=text)[0] == code
+        assert len(calls) == 1
 
     def test_quartic(self, capsys):
         code, out, _ = run_cli(

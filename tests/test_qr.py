@@ -31,6 +31,7 @@ from resmat.qr import (
     block_form,
     count_qr_classes,
     count_qr_matrices,
+    decide,
     fixed_qr,
     from_config_graph,
     is_qr_matrix,
@@ -235,15 +236,10 @@ class TestBlockForm:
         conjugate by perm has the pair term -1 exactly inside the s x s block
         and +1 elsewhere, and a non-member raises."""
         max_n = 4 if m == 2 else 3
-        decide = {
-            2: lambda mat: is_qr_matrix(mat).verdict,
-            3: higher.is_cubic_residue_matrix,
-            4: lambda mat: higher.is_quartic_residue_matrix(mat).verdict,
-        }[m]
         members = 0
         for n in range(1, max_n + 1):
             for mat in exponent_matrices(m, n):
-                if not decide(mat):
+                if not decide(mat).verdict:
                     with pytest.raises(NotAResidueMatrixError, match=f"m={m}"):
                         block_form(mat)
                     continue
@@ -262,6 +258,33 @@ class TestBlockForm:
             (1 if m == 3 else (1 << n) - n) * m ** (n * (n - 1) // 2)
             for n in range(1, max_n + 1)
         )
+
+
+class TestDecide:
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_views_agree_with_it(self, m):
+        """Every matrix with n <= 4 for m=2, n <= 3 for m=3, 4: is_qr_matrix
+        and is_quartic_residue_matrix return the decision, is_cubic_residue_matrix
+        its verdict, block_form the decision of a member; s and perm are None
+        exactly for a non-member."""
+        max_n = 4 if m == 2 else 3
+        view = {
+            2: is_qr_matrix,
+            3: higher.is_cubic_residue_matrix,
+            4: higher.is_quartic_residue_matrix,
+        }[m]
+        for n in range(1, max_n + 1):
+            for mat in exponent_matrices(m, n):
+                dec = decide(mat)
+                assert type(dec) is resmat.Decision
+                assert view(mat) == (dec.verdict if m == 3 else dec), mat
+                assert (dec.s is None) == (dec.perm is None) == (not dec.verdict)
+                if dec.verdict:
+                    assert block_form(mat) == dec
+                    assert sorted(dec.perm) == list(range(n))
+                else:
+                    with pytest.raises(NotAResidueMatrixError):
+                        block_form(mat)
 
 
 class TestWitness:

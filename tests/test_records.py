@@ -6,9 +6,8 @@ import pytest
 
 from resmat.cyclotomic import EisensteinInt, GaussianInt
 from resmat.frequencies import ConfigClass, FrequencyReport
-from resmat.higher import QuarticDecision
-from resmat.matrices import BlockDecomposition, SignMatrix
-from resmat.qr import ConfigGraph, QrDecision
+from resmat.matrices import SignMatrix
+from resmat.qr import ConfigGraph, Decision
 
 M2 = SignMatrix(2, ((None, 0), (1, None)))
 M2_REPR = "SignMatrix(m=2, entries=((None, 0), (1, None)))"
@@ -25,28 +24,16 @@ CASES = [
         M2_REPR,
     ),
     (
-        BlockDecomposition,
-        {"perm": (1, 0, 2), "s": 2},
-        BlockDecomposition((1, 0, 2), 1),
-        "BlockDecomposition(perm=(1, 0, 2), s=2)",
-    ),
-    (
-        QrDecision,
-        {"verdict": True, "s": 2, "diag": (0, 0, 2)},
-        QrDecision(False, None, (0, 0, 2)),
-        "QrDecision(verdict=True, s=2, diag=(0, 0, 2))",
+        Decision,
+        {"verdict": True, "s": 2, "pairwise_ok": True, "diag": (0, 0, 2), "perm": (0, 1, 2)},
+        Decision(False, None, True, (0, 0, -2), None),
+        "Decision(verdict=True, s=2, pairwise_ok=True, diag=(0, 0, 2), perm=(0, 1, 2))",
     ),
     (
         ConfigGraph,
         {"n": 2, "red": frozenset({0, 1}), "directed": frozenset({(0, 1)}), "labels": ()},
         ConfigGraph(2, frozenset({0, 1}), frozenset({(1, 0)}), ()),
         "ConfigGraph(n=2, red=frozenset({0, 1}), directed=frozenset({(0, 1)}), labels=())",
-    ),
-    (
-        QuarticDecision,
-        {"verdict": True, "s": 2, "pairwise_ok": True, "diag": (0, 0)},
-        QuarticDecision(False, None, False, (0, 0)),
-        "QuarticDecision(verdict=True, s=2, pairwise_ok=True, diag=(0, 0))",
     ),
     (
         ConfigClass,
@@ -120,4 +107,4 @@ def test_pickle_round_trip(cls, fields, other, text):
 def test_equal_fields_in_another_class_differ():
     assert GaussianInt(1, 2) != EisensteinInt(1, 2)
     assert not GaussianInt(1, 2) == EisensteinInt(1, 2)
-    assert BlockDecomposition((0, 1), 1) != ConfigClass((0, 1), 1)
+    assert FrequencyReport((0, 1), 1) != ConfigClass((0, 1), 1)
