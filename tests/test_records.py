@@ -23,11 +23,25 @@ CASES = [
         SignMatrix(2, ((None, 0), (0, None))),
         M2_REPR,
     ),
+    # Decision as each of its views returns it; the ids name the records it
+    # replaced: a block_form member, an m=2 member, an m=4 non-member
+    (
+        Decision,
+        {"verdict": True, "s": 2, "pairwise_ok": True, "diag": (2, 0, 0), "perm": (1, 2, 0)},
+        Decision(True, 1, True, (0, 2, 2), (0, 1, 2)),
+        "Decision(verdict=True, s=2, pairwise_ok=True, diag=(2, 0, 0), perm=(1, 2, 0))",
+    ),
     (
         Decision,
         {"verdict": True, "s": 2, "pairwise_ok": True, "diag": (0, 0, 2), "perm": (0, 1, 2)},
         Decision(False, None, True, (0, 0, -2), None),
         "Decision(verdict=True, s=2, pairwise_ok=True, diag=(0, 0, 2), perm=(0, 1, 2))",
+    ),
+    (
+        Decision,
+        {"verdict": False, "s": None, "pairwise_ok": False, "diag": (0, 0), "perm": None},
+        Decision(False, None, True, (0, 0), None),
+        "Decision(verdict=False, s=None, pairwise_ok=False, diag=(0, 0), perm=None)",
     ),
     (
         ConfigGraph,
@@ -49,8 +63,11 @@ CASES = [
     ),
 ]
 
+DECISION_IDS = iter(["BlockDecomposition", "QrDecision", "QuarticDecision"])
 each_record = pytest.mark.parametrize(
-    "cls, fields, other, text", CASES, ids=[case[0].__name__ for case in CASES]
+    "cls, fields, other, text",
+    CASES,
+    ids=[next(DECISION_IDS) if cls is Decision else cls.__name__ for cls, *_ in CASES],
 )
 
 
