@@ -146,6 +146,8 @@ def conjugate(matrix, sigma):
 def canonical_form(matrix):
     """Lexicographically least conjugate over all n! permutations.
 
+    The least under SignMatrix._key; min keeps the first of equal keys in
+    itertools.permutations order, though equal keys mean equal matrices.
     Idempotent and constant on permutation-equivalence orbits.
     """
     n = matrix.n
@@ -154,33 +156,22 @@ def canonical_form(matrix):
             f"canonical form is a factorial scan, limited to n <= "
             f"{CANONICAL_DIMENSION_LIMIT} (got {n})"
         )
-    best = None
-    best_mat = None
-    for sigma in itertools.permutations(range(n)):
-        cand = conjugate(matrix, sigma)
-        key = cand._key()
-        if best is None or key < best:
-            best = key
-            best_mat = cand
-    return best_mat
+    return min(
+        (conjugate(matrix, sigma) for sigma in itertools.permutations(range(n))),
+        key=SignMatrix._key,
+    )
 
 
 def equivalence_classes(matrices):
     """Partition matrices by permutation equivalence.
 
     Returns (canonical representative, orbit count) pairs in ascending
-    canonical order.
+    canonical order.  Mixed n or m raise ValueError before any form is built.
     """
     matrices = list(matrices)
-    if not matrices:
-        return []
-    n, m = matrices[0].n, matrices[0].m
-    classes = {}
-    for mat in matrices:
-        if mat.n != n or mat.m != m:
-            raise ValueError("all matrices must share the same n and m")
-        rep = canonical_form(mat)
-        classes[rep] = classes.get(rep, 0) + 1
+    if len({(mat.n, mat.m) for mat in matrices}) > 1:
+        raise ValueError("all matrices must share the same n and m")
+    classes = Counter(map(canonical_form, matrices))
     return sorted(classes.items(), key=lambda kv: kv[0]._key())
 
 
@@ -244,18 +235,21 @@ def fixed_skew(cycles):
     return 0 if any(c % 2 == 0 for c in cycles) else 1 << pair_orbit_count(cycles)
 
 
-def _check_class_count_range(n):
-    if not 1 <= n <= COUNT_MAX_N:
-        raise UnsupportedDimensionError(f"n must be in 1..{COUNT_MAX_N}, got {n}")
+def _check_count_range(n, smallest):
+    """The range rule of every census counter: smallest <= n <= COUNT_MAX_N."""
+    if not smallest <= n <= COUNT_MAX_N:
+        raise UnsupportedDimensionError(
+            f"n must be in {smallest}..{COUNT_MAX_N}, got {n}"
+        )
 
 
 def count_symmetric_classes(n):
     """Permutation-equivalence classes of symmetric n x n sign matrices."""
-    _check_class_count_range(n)
+    _check_count_range(n, 1)
     return orbit_class_count(n, fixed_symmetric)
 
 
 def count_skew_classes(n):
     """Permutation-equivalence classes of skew-symmetric n x n sign matrices."""
-    _check_class_count_range(n)
+    _check_count_range(n, 1)
     return orbit_class_count(n, fixed_skew)

@@ -5,14 +5,10 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from .errors import (
-    NotAResidueMatrixError,
-    SearchExhaustedError,
-    UnsupportedDimensionError,
-)
+from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import (
-    COUNT_MAX_N,
     SignMatrix,
+    _check_count_range,
     orbit_class_count,
     pair_orbit_count,
 )
@@ -226,17 +222,14 @@ def jacobi_matrix(values):
 # matrices.fixed_skew), and each pair orbit of sigma carries one free sign.
 
 
-def _check_count_range(n):
-    if not COUNT_MIN_N <= n <= COUNT_MAX_N:
-        raise UnsupportedDimensionError(
-            f"counting supports {COUNT_MIN_N} <= n <= {COUNT_MAX_N}, got {n}"
-        )
-
-
 def count_qr_matrices(n):
-    """Number of n x n QR matrices (4, 40, 768, 27648, 1900544 for n = 2..6)."""
-    _check_count_range(n)
-    return ((1 << n) - n) << (n * (n - 1) // 2)
+    """Number of n x n QR matrices, (2^n - n) * 2^(n(n-1)/2).
+
+    Burnside's identity term, as the identity fixes every member: 4, 40,
+    768, 27648, 1900544 for n = 2..6.
+    """
+    _check_count_range(n, COUNT_MIN_N)
+    return fixed_qr((1,) * n)
 
 
 def fixed_qr(cycles):
@@ -251,7 +244,7 @@ def fixed_qr(cycles):
 
 def count_qr_classes(n):
     """Permutation-equivalence classes of n x n QR matrices."""
-    _check_count_range(n)
+    _check_count_range(n, COUNT_MIN_N)
     return orbit_class_count(n, fixed_qr)
 
 

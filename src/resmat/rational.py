@@ -23,7 +23,7 @@ def is_prime(n):
         return False
     if n >= MR_LIMIT:
         raise ValueError(f"is_prime is exact only below {MR_LIMIT}, got {n}")
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:  # the first twelve primes
         if n % p == 0:
             return n == p
     d = n - 1

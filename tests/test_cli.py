@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import resmat
-from resmat import qr
+from resmat import matrices, qr
 from resmat.cli import (
     MatrixParseError,
     _format_freq,
@@ -388,6 +388,43 @@ class TestCount:
             code, out, err = run_cli(capsys, ["count", "--n", str(n)])
             assert code == 2 and out == ""
             assert err == f"error: --n must be in 2..{COUNT_MAX_N}, got {n}\n"
+
+    # `resmat count` must reach each counter through its module attribute,
+    # where a tracer that rebinds it sees the call
+    COUNTERS = (
+        (qr, "count_qr_matrices"),
+        (qr, "count_qr_classes"),
+        (matrices, "count_symmetric_classes"),
+        (matrices, "count_skew_classes"),
+    )
+
+    @pytest.mark.parametrize(
+        "kind,classes,counter,value",
+        [
+            ("qr", False, "count_qr_matrices", 27648),
+            ("qr", True, "count_qr_classes", 314),
+            # symmetric or skew members: one free sign per pair, no counter
+            ("symmetric", False, None, 1024),
+            ("symmetric", True, "count_symmetric_classes", 34),
+            ("skew", False, None, 1024),
+            ("skew", True, "count_skew_classes", 12),
+        ],
+    )
+    def test_calls_public_counter(
+        self, capsys, monkeypatch, kind, classes, counter, value
+    ):
+        calls = []
+        for module, name in self.COUNTERS:
+
+            def counted(n, name=name, func=getattr(module, name)):
+                calls.append(name)
+                return func(n)
+
+            monkeypatch.setattr(module, name, counted)
+        argv = ["count", "--n", "5", "--kind", kind] + ["--classes"] * classes
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and int(out) == value
+        assert calls == ([counter] if counter else [])
 
     def test_largest_n(self, capsys):
         for kind in ("qr", "symmetric", "skew"):

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -185,6 +187,101 @@ class TestEquivalenceClasses:
         mats = list(sign_matrices(3))
         classes = equivalence_classes(mats)
         assert sum(c for _, c in classes) == 64
+
+
+def adjacent_orbit(entries):
+    """The permutation-equivalence orbit of entries, as exponent rows.
+
+    Closes entries under swapping two adjacent indices in rows and columns
+    together; those swaps generate all n! permutations, so no permutation
+    is enumerated.
+    """
+    n = len(entries)
+    swaps = []
+    for i in range(n - 1):
+        order = list(range(n))
+        order[i], order[i + 1] = i + 1, i
+        swaps.append(order)
+    orbit, todo = {entries}, [entries]
+    while todo:
+        ent = todo.pop()
+        for order in swaps:
+            image = tuple(tuple(ent[a][b] for b in order) for a in order)
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return frozenset(orbit)
+
+
+def invariant_matrix(rng, m, sigma):
+    """A random matrix that sigma fixes: one exponent per orbit of ordered pairs."""
+    n = len(sigma)
+    rows = [[None] * n for _ in range(n)]
+    for i, j in itertools.permutations(range(n), 2):
+        if rows[i][j] is None:
+            e, a, b = rng.randrange(m), i, j
+            while rows[a][b] is None:
+                rows[a][b] = e
+                a, b = sigma[a], sigma[b]
+    return SignMatrix(m, tuple(map(tuple, rows)))
+
+
+def tie_heavy_batch(m, count, seed, n=4):
+    """Seeded matrices: a third fixed by a random permutation (ties in the
+    n! scan), a third conjugates of earlier ones, a third uniform."""
+    rng = random.Random(seed)
+    batch = []
+    for k in range(count):
+        sigma = tuple(rng.sample(range(n), n))
+        if k % 3 == 0:
+            batch.append(invariant_matrix(rng, m, sigma))
+        elif k % 3 == 1:
+            batch.append(conjugate(rng.choice(batch), sigma))
+        else:
+            # the identity fixes every matrix, so this one is uniform
+            batch.append(invariant_matrix(rng, m, tuple(range(n))))
+    return batch
+
+
+class TestOrbitOracle:
+    """canonical_form and equivalence_classes against orbits closed by swaps."""
+
+    @staticmethod
+    def check(mats):
+        orbit_of = {}
+        for mat in mats:
+            if mat.entries not in orbit_of:
+                orbit = adjacent_orbit(mat.entries)
+                orbit_of.update(dict.fromkeys(orbit, orbit))
+        m = mats[0].m
+        least = {}
+        for mat in mats:
+            orbit = orbit_of[mat.entries]
+            if orbit not in least:
+                members = (SignMatrix(m, ent) for ent in orbit)
+                least[orbit] = min(members, key=SignMatrix._key)
+            assert canonical_form(mat) == least[orbit]
+        tally = Counter(orbit_of[mat.entries] for mat in mats)
+        want = sorted(
+            ((least[orbit], count) for orbit, count in tally.items()),
+            key=lambda pair: pair[0]._key(),
+        )
+        assert equivalence_classes(mats) == want
+        return orbit_of
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_small_matrix(self, m, n):
+        self.check(list(sign_matrices(n, m)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_seeded_n4_with_ties(self, m):
+        mats = tie_heavy_batch(m, 200, seed=m)
+        orbit_of = self.check(mats)
+        orbits = [orbit_of[mat.entries] for mat in mats]
+        # an orbit smaller than 4! means a nontrivial automorphism group
+        assert sum(len(orbit) < 24 for orbit in orbits) >= 60
+        assert len(set(orbits)) < len(mats)  # some classes hold several
 
 
 # Symmetric classes are graphs (OEIS A000088), skew classes tournaments

@@ -21,11 +21,14 @@ from resmat.matrices import (
     COUNT_MAX_N,
     SignMatrix,
     conjugate,
+    count_skew_classes,
+    count_symmetric_classes,
     equivalence_classes,
     fixed_skew,
     fixed_symmetric,
 )
 from resmat.qr import (
+    COUNT_MIN_N,
     ConfigGraph,
     _pair_diagonal,
     block_form,
@@ -576,6 +579,31 @@ class TestCounts:
             count_qr_classes(COUNT_MAX_N + 1)
         with pytest.raises(UnsupportedDimensionError):
             count_qr_classes(1)
+
+    # each census counter with the smallest n it accepts; COUNT_MAX_N caps all
+    COUNTERS = (
+        (count_qr_matrices, COUNT_MIN_N),
+        (count_qr_classes, COUNT_MIN_N),
+        (count_symmetric_classes, 1),
+        (count_skew_classes, 1),
+    )
+
+    @pytest.mark.parametrize("n", range(-1, COUNT_MAX_N + 2))
+    def test_census_formulas_and_range(self, n):
+        pairs = n * (n - 1) // 2
+        if COUNT_MIN_N <= n <= COUNT_MAX_N:
+            assert count_qr_matrices(n) == ((1 << n) - n) << pairs
+        if 1 <= n <= COUNT_MAX_N:
+            # the member counts that `resmat count --kind symmetric|skew` prints
+            identity = (1,) * n
+            assert fixed_symmetric(identity) == fixed_skew(identity) == 1 << pairs
+        for counter, smallest in self.COUNTERS:
+            if smallest <= n <= COUNT_MAX_N:
+                assert counter(n) >= 1
+            else:
+                message = f"n must be in {smallest}..{COUNT_MAX_N}, got {n}"
+                with pytest.raises(UnsupportedDimensionError, match=message):
+                    counter(n)
 
     def test_largest_n(self):
         n = COUNT_MAX_N
