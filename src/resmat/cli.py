@@ -23,12 +23,7 @@ from .cyclotomic import (
     parse_element,
     primary_generator,
 )
-from .errors import (
-    NotAResidueMatrixError,
-    RamifiedPrimeError,
-    SearchExhaustedError,
-    UnsupportedDimensionError,
-)
+from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import SignMatrix
 from .rational import is_prime, jacobi, legendre
 
@@ -153,16 +148,12 @@ def cmd_witness(args):
 
 def cmd_count(args):
     n = args.n
-    if not qr.COUNT_MIN_N <= n <= matrices.COUNT_MAX_N:
-        print(
-            f"error: --n must be in {qr.COUNT_MIN_N}..{matrices.COUNT_MAX_N}, got {n}",
-            file=sys.stderr,
-        )
-        return 2
     if args.kind == "qr":
         value = qr.count_qr_classes(n) if args.classes else qr.count_qr_matrices(n)
     elif not args.classes:
-        value = 1 << (n * (n - 1) // 2)  # symmetric or skew: one free sign per pair
+        # symmetric or skew members: the identity term, one free sign per pair
+        matrices._check_count_range(n)
+        value = matrices.fixed_symmetric((1,) * n)
     elif args.kind == "symmetric":
         value = matrices.count_symmetric_classes(n)
     else:
@@ -343,13 +334,8 @@ def main(argv=None):
     except SearchExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        MatrixParseError,
-        UnsupportedDimensionError,
-        RamifiedPrimeError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # parse, dimension and ramified-prime errors are ValueErrors too
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,12 +31,11 @@ def _validate_primary_primes(primes, ring):
             raise ValueError(f"not a primary prime element: {p}")
     # a primary generator is unique per prime ideal, so equal ideals are
     # equal elements
-    for i in range(len(primes)):
-        for j in range(i + 1, len(primes)):
-            if primes[i] == primes[j]:
-                raise ValueError(
-                    f"prime ideals must be distinct: {primes[i]}, {primes[j]}"
-                )
+    seen = set()
+    for p in primes:
+        if p in seen:
+            raise ValueError(f"prime ideals must be distinct: {p}, {p}")
+        seen.add(p)
     return primes
 
 

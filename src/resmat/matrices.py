@@ -235,21 +235,19 @@ def fixed_skew(cycles):
     return 0 if any(c % 2 == 0 for c in cycles) else 1 << pair_orbit_count(cycles)
 
 
-def _check_count_range(n, smallest):
-    """The range rule of every census counter: smallest <= n <= COUNT_MAX_N."""
-    if not smallest <= n <= COUNT_MAX_N:
-        raise UnsupportedDimensionError(
-            f"n must be in {smallest}..{COUNT_MAX_N}, got {n}"
-        )
+def _check_count_range(n):
+    """The range rule of every census counter: 1 <= n <= COUNT_MAX_N."""
+    if not 1 <= n <= COUNT_MAX_N:
+        raise UnsupportedDimensionError(f"n must be in 1..{COUNT_MAX_N}, got {n}")
 
 
 def count_symmetric_classes(n):
     """Permutation-equivalence classes of symmetric n x n sign matrices."""
-    _check_count_range(n, 1)
+    _check_count_range(n)
     return orbit_class_count(n, fixed_symmetric)
 
 
 def count_skew_classes(n):
     """Permutation-equivalence classes of skew-symmetric n x n sign matrices."""
-    _check_count_range(n, 1)
+    _check_count_range(n)
     return orbit_class_count(n, fixed_skew)

@@ -15,7 +15,6 @@ from .matrices import (
 from .rational import class_primes, is_prime, jacobi, legendre, odd_prime_blocks
 from .records import Record, setfield
 
-COUNT_MIN_N = 2
 # Default prime bound of the m=2 witness search in the command line.
 DEFAULT_PRIME_LIMIT = 10**7
 
@@ -28,6 +27,7 @@ class Decision(Record):
     size (smallest when several match) and perm puts the s skew-block
     indices first, so the conjugate by perm has an s x s skew-symmetric
     upper-left block and a symmetric rest; both are None for a non-member.
+    A decision is true exactly when its verdict is.
     """
 
     __slots__ = ("verdict", "s", "pairwise_ok", "diag", "perm")
@@ -43,6 +43,9 @@ class Decision(Record):
         setfield(self, "pairwise_ok", pairwise_ok)
         setfield(self, "diag", diag)
         setfield(self, "perm", perm)
+
+    def __bool__(self):
+        return self.verdict
 
 
 def _sign_exponent(symbol):
@@ -225,10 +228,10 @@ def jacobi_matrix(values):
 def count_qr_matrices(n):
     """Number of n x n QR matrices, (2^n - n) * 2^(n(n-1)/2).
 
-    Burnside's identity term, as the identity fixes every member: 4, 40,
-    768, 27648, 1900544 for n = 2..6.
+    Burnside's identity term, as the identity fixes every member: 1, 4,
+    40, 768, 27648, 1900544 for n = 1..6.
     """
-    _check_count_range(n, COUNT_MIN_N)
+    _check_count_range(n)
     return fixed_qr((1,) * n)
 
 
@@ -244,7 +247,7 @@ def fixed_qr(cycles):
 
 def count_qr_classes(n):
     """Permutation-equivalence classes of n x n QR matrices."""
-    _check_count_range(n, COUNT_MIN_N)
+    _check_count_range(n)
     return orbit_class_count(n, fixed_qr)
 
 

@@ -384,10 +384,13 @@ class TestCount:
         }
 
     def test_out_of_range_exit_2(self, capsys):
-        for n in (1, COUNT_MAX_N + 1):
-            code, out, err = run_cli(capsys, ["count", "--n", str(n)])
-            assert code == 2 and out == ""
-            assert err == f"error: --n must be in 2..{COUNT_MAX_N}, got {n}\n"
+        for n in (-1, 0, COUNT_MAX_N + 1):
+            for kind in ("qr", "symmetric", "skew"):
+                for flags in ([], ["--classes"]):
+                    argv = ["count", "--n", str(n), "--kind", kind, *flags]
+                    code, out, err = run_cli(capsys, argv)
+                    assert code == 2 and out == ""
+                    assert err == f"error: n must be in 1..{COUNT_MAX_N}, got {n}\n"
 
     # `resmat count` must reach each counter through its module attribute,
     # where a tracer that rebinds it sees the call

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resmat
-from resmat import higher
+from resmat import cli, higher
 from resmat.errors import (
     NotAResidueMatrixError,
     SearchExhaustedError,
@@ -28,7 +28,6 @@ from resmat.matrices import (
     fixed_symmetric,
 )
 from resmat.qr import (
-    COUNT_MIN_N,
     ConfigGraph,
     _pair_diagonal,
     block_form,
@@ -288,6 +287,17 @@ class TestDecide:
                 else:
                     with pytest.raises(NotAResidueMatrixError):
                         block_form(mat)
+
+    @pytest.mark.parametrize("m,max_n", [(2, 3), (4, 2)])
+    def test_truth_is_verdict(self, m, max_n):
+        # `if is_qr_matrix(mat):` must not hold for a non-member
+        verdicts = set()
+        for n in range(1, max_n + 1):
+            for mat in exponent_matrices(m, n):
+                dec = decide(mat)
+                assert bool(dec) is dec.verdict, mat
+                verdicts.add(dec.verdict)
+        assert verdicts == {True, False}
 
 
 class TestWitness:
@@ -566,11 +576,26 @@ class TestCounts:
             assert fixed_symmetric(cycles) == sum(m.is_symmetric() for m in fixed)
             assert fixed_skew(cycles) == sum(is_skew(m) for m in fixed)
 
-    def test_matrix_count_matches_direct_filter(self):
-        for n in (2, 3, 4):
-            members = [m for m in sign_matrices(n) if is_qr_matrix(m).verdict]
-            assert count_qr_matrices(n) == len(members)
-            assert count_qr_classes(n) == len(equivalence_classes(members))
+    def test_matrix_count_matches_direct_filter(self, capsys):
+        # the library counters and `resmat count`, members and classes,
+        # against every m=2 sign matrix of each kind
+        kinds = {
+            "qr": lambda m: is_qr_matrix(m).verdict,
+            "symmetric": SignMatrix.is_symmetric,
+            "skew": is_skew,
+        }
+        for n in (1, 2, 3, 4):
+            mats = list(sign_matrices(n))
+            for kind, member in kinds.items():
+                members = [m for m in mats if member(m)]
+                classes = len(equivalence_classes(members))
+                if kind == "qr":
+                    assert count_qr_matrices(n) == len(members)
+                    assert count_qr_classes(n) == classes
+                for flags, want in (([], len(members)), (["--classes"], classes)):
+                    argv = ["count", "--n", str(n), "--kind", kind, *flags]
+                    assert cli.main(argv) == 0
+                    assert capsys.readouterr() == (f"{want}\n", "")
 
     def test_out_of_range(self):
         with pytest.raises(UnsupportedDimensionError):
@@ -578,32 +603,31 @@ class TestCounts:
         with pytest.raises(UnsupportedDimensionError):
             count_qr_classes(COUNT_MAX_N + 1)
         with pytest.raises(UnsupportedDimensionError):
-            count_qr_classes(1)
+            count_qr_classes(0)
 
-    # each census counter with the smallest n it accepts; COUNT_MAX_N caps all
+    # every census counter accepts exactly 1 <= n <= COUNT_MAX_N
     COUNTERS = (
-        (count_qr_matrices, COUNT_MIN_N),
-        (count_qr_classes, COUNT_MIN_N),
-        (count_symmetric_classes, 1),
-        (count_skew_classes, 1),
+        count_qr_matrices,
+        count_qr_classes,
+        count_symmetric_classes,
+        count_skew_classes,
     )
 
     @pytest.mark.parametrize("n", range(-1, COUNT_MAX_N + 2))
     def test_census_formulas_and_range(self, n):
-        pairs = n * (n - 1) // 2
-        if COUNT_MIN_N <= n <= COUNT_MAX_N:
-            assert count_qr_matrices(n) == ((1 << n) - n) << pairs
-        if 1 <= n <= COUNT_MAX_N:
-            # the member counts that `resmat count --kind symmetric|skew` prints
-            identity = (1,) * n
-            assert fixed_symmetric(identity) == fixed_skew(identity) == 1 << pairs
-        for counter, smallest in self.COUNTERS:
-            if smallest <= n <= COUNT_MAX_N:
-                assert counter(n) >= 1
-            else:
-                message = f"n must be in {smallest}..{COUNT_MAX_N}, got {n}"
+        if not 1 <= n <= COUNT_MAX_N:
+            message = f"n must be in 1..{COUNT_MAX_N}, got {n}"
+            for counter in self.COUNTERS:
                 with pytest.raises(UnsupportedDimensionError, match=message):
                     counter(n)
+            return
+        pairs = n * (n - 1) // 2
+        assert count_qr_matrices(n) == ((1 << n) - n) << pairs
+        # the member counts that `resmat count --kind symmetric|skew` prints
+        identity = (1,) * n
+        assert fixed_symmetric(identity) == fixed_skew(identity) == 1 << pairs
+        for counter in self.COUNTERS:
+            assert counter(n) >= 1
 
     def test_largest_n(self):
         n = COUNT_MAX_N
