@@ -205,10 +205,17 @@ def cmd_freq(args):
     return 0
 
 
+def _integer_option(flag, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be an integer, got {text!r}") from None
+
+
 def cmd_symbol(args):
     kind = args.kind
     if kind in ("legendre", "jacobi"):
-        a, n = int(args.num), int(args.den)
+        a, n = _integer_option("--num", args.num), _integer_option("--den", args.den)
         if kind == "legendre":
             if n < 3 or n % 2 == 0 or not is_prime(n):
                 raise ValueError(f"denominator must be an odd prime, got {n}")

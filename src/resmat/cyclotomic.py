@@ -27,8 +27,8 @@ class _QuadraticInt(Record):
       The inert rational primes are the p = M - 1 (mod M).
     - TRACE: zeta + conj(zeta), so zeta**2 = TRACE*zeta - 1.
     - RAMIFIED: the rational prime ramified in the ring.
-    - PRIMARY: the pairs (a % M, b % M) of the primary elements; the
-      witness search asks for PRIMARY[-1] on the skew block.
+    - PRIMARY: the pairs (a % M, b % M) of the primary elements; a primary
+      prime of norm p = M + 1 (mod 2M) is PRIMARY[-1], else PRIMARY[0].
     - UNITS: all units, with UNITS[e] = zeta**e for e < M.
     """
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from math import lcm
-
 from .cyclotomic import (
     EisensteinInt,
     GaussianInt,
@@ -14,10 +12,8 @@ from .cyclotomic import (
     is_primary,
     is_prime_element,
 )
-from .errors import SearchExhaustedError
 from .matrices import SignMatrix
-from .qr import _replay, block_form, decide
-from .rational import class_primes, odd_prime_blocks
+from .qr import _column_search, decide
 
 DEFAULT_NORM_LIMIT = 10**6
 
@@ -73,13 +69,11 @@ def is_quartic_residue_matrix(matrix):
 
 # --- deterministic witness search ---
 #
-# The existence argument is Chebotarev's theorem; computationally we scan
-# degree-1 split primes in ascending norm (rational p = 1 mod 3 resp. 1 mod 4,
-# read off the sieve blocks as in qr.witness_primes, so none needs a test)
-# and accept the first candidate whose symbols match.  For each rational
-# prime both conjugate ideals are offered, the one whose residue field sends
-# w (resp. i) to the larger root first; this pins down, e.g., -2-3w as the
-# first Eisenstein candidate and -1+2i as the first Gaussian one.
+# The existence argument is Chebotarev's theorem.  For each prime p of the
+# column's class in qr._column_search both conjugate ideals are offered, the
+# one whose residue field sends w (resp. i) to the larger root first; this
+# pins down, e.g., -2-3w as the first Eisenstein candidate and -1+2i as the
+# first Gaussian one.
 
 
 def _prime_over(ring, p, r):
@@ -102,64 +96,42 @@ def _prime_over(ring, p, r):
     return _primary_associate(gen)
 
 
-def _degree_one_primary_primes(ring, norm_limit):
-    # The odd p = 1 (mod M) split, and zeta goes to a root of
+def _primes_over(ring, p):
+    # A prime p = 1 (mod M) splits, and zeta goes to a root of
     # x**2 - TRACE*x + 1 mod p, a primitive M-th root of unity: z**((p-1)/M)
     # for the first z = 2, 3, ... that is a root; the other is TRACE - r.
     t = ring.TRACE
-    for p in class_primes(odd_prime_blocks(norm_limit), 1, lcm(2, ring.M)):
-        e, z = (p - 1) // ring.M, 2
+    e, z = (p - 1) // ring.M, 2
+    r = pow(z, e, p)
+    while (r * r - t * r + 1) % p:
+        z += 1
         r = pow(z, e, p)
-        while (r * r - t * r + 1) % p:
-            z += 1
-            r = pow(z, e, p)
-        for r in sorted((r, (t - r) % p), reverse=True):
-            yield _prime_over(ring, p, r)
+    for r in sorted((r, (t - r) % p), reverse=True):
+        yield _prime_over(ring, p, r)
 
 
-def _scan_witnesses(matrix, ring, build, norm_limit):
-    # Column k takes the first candidate, in ascending norm, that is in the
-    # primary class the column asks for, is not yet chosen and matches the
-    # symbols against every earlier choice in both directions.  The class is
-    # PRIMARY[-1] on the skew block of qr.block_form and PRIMARY[0] elsewhere:
-    # 3+2i and 1 mod 4 in Z[i]; Z[w] has one class, as the cubic symbol has
-    # no reciprocity sign.  The candidates are generated once per search and
-    # each column walks them from the start, so it finds what a fresh scan
-    # would find and counts the same tried.  A primary generator is unique
-    # per prime ideal, so a chosen prime is found by equality, and the moduli
-    # are primary primes by construction, so the symbols skip the public
-    # functions' checks.  build (cubic_matrix resp. quartic_matrix) checks
-    # the result, every symbol in both directions.
+def _witness(matrix, ring, build, norm_limit):
+    # find tests both symbol directions.  The moduli are primary primes by
+    # construction, so the symbols skip the public functions' checks, and a
+    # primary generator is unique per prime ideal, so a chosen prime is
+    # found by equality.  build checks the result, every symbol both ways.
     m = ring.M
     if matrix.m != m:
         raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
-    bd = block_form(matrix)
-    skew = set(bd.perm[: bd.s])
-    source = _degree_one_primary_primes(ring, norm_limit)
-    drawn = []
-    chosen = []
-    for k in range(matrix.n):
+
+    def find(k, chosen, candidates):
         row = matrix.entries[k]
-        primary = ring.PRIMARY[-1 if k in skew else 0]
-        tried = 0
-        for cand in _replay(drawn, source):
-            tried += 1
-            if (cand.a % m, cand.b % m) != primary or cand in chosen:
-                continue
-            if all(
-                _residue_symbol(cand, qj, m) == row[j]
-                and _residue_symbol(qj, cand, m) == matrix.entries[j][k]
-                for j, qj in enumerate(chosen)
-            ):
-                chosen.append(cand)
-                break
-        else:
-            raise SearchExhaustedError(
-                f"no prime of norm <= {norm_limit} realizes column {k + 1}",
-                limit=norm_limit,
-                column=k + 1,
-                tried=tried,
-            )
+        for p in candidates:
+            for cand in _primes_over(ring, p):
+                if cand not in chosen and all(
+                    _residue_symbol(cand, qj, m) == row[j]
+                    and _residue_symbol(qj, cand, m) == matrix.entries[j][k]
+                    for j, qj in enumerate(chosen)
+                ):
+                    return cand
+        return None
+
+    chosen = _column_search(matrix, norm_limit, find)
     if build(chosen) != matrix:
         raise RuntimeError(f"witness {chosen} does not reproduce the matrix")
     return chosen
@@ -167,7 +139,7 @@ def _scan_witnesses(matrix, ring, build, norm_limit):
 
 def cubic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
     """Distinct primary Eisenstein primes whose cubic matrix equals the input."""
-    return _scan_witnesses(matrix, EisensteinInt, cubic_matrix, norm_limit)
+    return _witness(matrix, EisensteinInt, cubic_matrix, norm_limit)
 
 
 def quartic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
@@ -175,4 +147,4 @@ def quartic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
 
     Skew-block indices get generators = 3+2i mod 4, the rest = 1 mod 4.
     """
-    return _scan_witnesses(matrix, GaussianInt, quartic_matrix, norm_limit)
+    return _witness(matrix, GaussianInt, quartic_matrix, norm_limit)

@@ -142,18 +142,41 @@ def _replay(drawn, source):
         yield item
 
 
+def _column_search(matrix, limit, find):
+    """The witnesses for m = 2, 3, 4 by the paper's induction, column by column.
+
+    Column k offers find(k, chosen, candidates) the primes p <= limit of its
+    class mod 2m, ascending; find returns the first of the ring's candidates
+    whose symbols against chosen match the matrix, or None.  The class is
+    m + 1 on the block form's skew block for even m (3 mod 4, resp. 5 mod 8,
+    the norms of the primary primes = 3+2i mod 4) and 1 elsewhere.  The
+    odd_prime_blocks are drawn once and replayed for each column, and an
+    exhausted column has tried every prime of its class.
+    """
+    m = matrix.m
+    bd = block_form(matrix)
+    skew = set(bd.perm[: bd.s])
+    blocks = []
+    source = odd_prime_blocks(limit)
+    chosen = []
+    for k in range(matrix.n):
+        c = m + 1 if k in skew and m % 2 == 0 else 1
+        found = find(k, chosen, class_primes(_replay(blocks, source), c, 2 * m))
+        if found is None:
+            raise SearchExhaustedError(
+                f"no prime of norm <= {limit} realizes column {k + 1}",
+                limit=limit,
+                column=k + 1,
+                tried=sum(1 for _ in class_primes(blocks, c, 2 * m)),
+            )
+        chosen.append(found)
+    return chosen
+
+
 def witness_primes(matrix, limit):
     """Distinct odd primes whose QR matrix equals the input exactly.
 
-    Follows the constructive induction: column by column, take the smallest
-    odd prime in the required mod-4 class (3 on the skew block, 1 elsewhere)
-    whose Legendre symbols against all earlier primes match the matrix.
-    Each column condition is a union of CRT progressions modulo 4 and the
-    earlier primes, so qualifying primes exist by Dirichlet's theorem.
-
-    The candidates are the primes of one class in ascending order, read off
-    the rational.odd_prime_blocks of the search, drawn once and replayed
-    for each column.  Only the symbols (p / p_j) are tested: by quadratic
+    The _column_search that tests only the symbols (p / p_j): by quadratic
     reciprocity (p / p_j)(p_j / p) = -1 exactly when p and p_j are both
     3 mod 4, which is what the block form asks of M[j][k] against M[k][j],
     so the reverse symbols follow from the classes.
@@ -161,17 +184,11 @@ def witness_primes(matrix, limit):
     Each symbol is tested by Euler's criterion against a target fixed for
     the column: (p / p_j) = M[k][j] exactly when p^((p_j-1)/2) is 1 resp.
     p_j - 1 mod p_j, so a candidate costs one pow per earlier prime, up to
-    the first mismatch, and no legendre call.  A random admissible 16x16
-    matrix takes about 50 ms on a 2-vCPU host, 130 ms with a legendre call
-    per symbol.
+    the first mismatch, and no legendre call.
     """
     signs = matrix.signs()  # a ValueError for m != 2
-    bd = block_form(matrix)
-    skew = set(bd.perm[: bd.s])
-    primes = []
-    blocks = []
-    source = odd_prime_blocks(limit)
-    for k in range(matrix.n):
+
+    def find(k, primes, candidates):
         row = signs[k]
         # (pj, e, want): the candidate's power p^e mod pj must equal want; an
         # earlier prime fails its own target, since its power is 0
@@ -179,22 +196,15 @@ def witness_primes(matrix, limit):
             (pj, (pj - 1) // 2, 1 if row[j] == 1 else pj - 1)
             for j, pj in enumerate(primes)
         ]
-        tried = 0
-        for p in class_primes(_replay(blocks, source), 3 if k in skew else 1, 4):
-            tried += 1
+        for p in candidates:
             for pj, e, want in targets:
                 if pow(p, e, pj) != want:
                     break
             else:
-                primes.append(p)
-                break
-        else:
-            raise SearchExhaustedError(
-                f"no prime <= {limit} realizes column {k + 1}",
-                limit=limit,
-                column=k + 1,
-                tried=tried,
-            )
+                return p
+        return None
+
+    primes = _column_search(matrix, limit, find)
     # checks every symbol in both directions, so it also guards the
     # reciprocity shortcut above
     if qr_matrix_from_primes(primes) != matrix:

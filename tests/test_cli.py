@@ -264,7 +264,7 @@ class TestWitness:
     def test_limit_one_is_a_search_bound(self, capsys):
         code, out, err = run_cli(capsys, ["witness", "--limit", "1"], stdin=QR_TEXT)
         assert code == 3 and out == ""
-        assert err == "error: no prime <= 1 realizes column 1\n"
+        assert err == "error: no prime of norm <= 1 realizes column 1\n"
 
     @pytest.mark.parametrize("m, text", [(2, QR_TEXT), (3, CUBIC_TEXT), (4, QUARTIC_TEXT)])
     @pytest.mark.parametrize("error", [MemoryError, OverflowError])
@@ -589,6 +589,17 @@ class TestSymbol:
             capsys, ["symbol", "--kind", kind, "--num", "2", "--den", den]
         )
         assert (code, out, err) == (0, "1\n", "")
+
+    @pytest.mark.parametrize("kind", ["legendre", "jacobi"])
+    @pytest.mark.parametrize(
+        "num, den, flag, value",
+        [("x", "7", "--num", "x"), ("3", "7.0", "--den", "7.0")],
+    )
+    def test_integer_operand_names_option(self, capsys, kind, num, den, flag, value):
+        argv = ["symbol", "--kind", kind, "--num", num, "--den", den]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} must be an integer, got {value!r}\n"
 
     def test_jacobi(self, capsys):
         code, out, _ = run_cli(

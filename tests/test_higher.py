@@ -1,6 +1,8 @@
+import io
 import random
 import sys
 from itertools import islice
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +21,8 @@ from resmat.cyclotomic import (
 )
 from resmat.errors import NotAResidueMatrixError, SearchExhaustedError
 from resmat.higher import (
-    _degree_one_primary_primes,
     _prime_over,
+    _primes_over,
     cubic_matrix,
     cubic_witness,
     is_cubic_residue_matrix,
@@ -30,10 +32,17 @@ from resmat.higher import (
 )
 from resmat.matrices import SignMatrix, conjugate
 from resmat.qr import block_form, witness_primes
-from resmat.rational import is_prime, sqrt_mod
+from resmat.rational import class_primes, is_prime, odd_prime_blocks, sqrt_mod
 
 EIS_FIXTURE = [EisensteinInt(-2, -3), EisensteinInt(4, 3)]
 GAU_FIXTURE = [GaussianInt(-1, 2), GaussianInt(3, 2)]
+
+
+def _degree_one_primes(ring, norm_limit):
+    """The witness search's candidates of every column class, ascending:
+    _primes_over each sieved p = 1 (mod M)."""
+    for p in class_primes(odd_prime_blocks(norm_limit), 1, lcm(2, ring.M)):
+        yield from _primes_over(ring, p)
 
 
 def symmetric_cubic_matrices(n):
@@ -111,7 +120,7 @@ class TestSymbolMatrices:
 
     @pytest.mark.parametrize("build, symbol, ring, inert", POOLS)
     def test_entries_are_the_public_symbols(self, build, symbol, ring, inert):
-        primes = list(islice(_degree_one_primary_primes(ring, 10**3), 8)) + inert
+        primes = list(islice(_degree_one_primes(ring, 10**3), 8)) + inert
         mat = build(primes)
         n = len(primes)
         assert mat.entries == tuple(
@@ -132,7 +141,7 @@ class TestSymbolMatrices:
 
         monkeypatch.setattr(higher, "is_prime_element", counted)
         monkeypatch.setattr(cyclotomic, "is_prime_element", counted)
-        primes = list(islice(_degree_one_primary_primes(ring, 10**3), 5)) + inert
+        primes = list(islice(_degree_one_primes(ring, 10**3), 5)) + inert
         build(primes)
         assert calls == primes
 
@@ -276,12 +285,15 @@ class TestWitnesses:
         assert str(exc) == (
             f"no prime of norm <= {norm_limit} realizes column {exc.column}"
         )
-        # two candidates (conjugate ideals) per split rational prime, and an
-        # exhausted column has examined all of them
+        # an exhausted column has examined every prime of its class: 1 mod 6
+        # in Z[w]; in Z[i] 5 mod 8 on the skew block, here both columns
+        bd = block_form(mat)
+        c = 5 if modulus == 4 and exc.column - 1 in bd.perm[: bd.s] else 1
         split = [
-            p for p in range(3, norm_limit + 1) if p % modulus == 1 and is_prime(p)
+            p for p in range(3, norm_limit + 1)
+            if p % (2 * modulus) == c and is_prime(p)
         ]
-        assert exc.tried == 2 * len(split)
+        assert exc.tried == len(split)
 
     def test_cubic_roundtrip_random(self):
         rng = random.Random(20260823)
@@ -356,13 +368,13 @@ class TestCandidates:
             for r in _trace_roots(ring, p)
         ]
         assert len(want) > 17000
-        assert list(_degree_one_primary_primes(ring, limit)) == want
+        assert list(_degree_one_primes(ring, limit)) == want
 
     @pytest.mark.parametrize("kind", ["eisenstein", "gaussian"])
     def test_first_candidates_match_oracle(self, kind):
         want = list(islice(_candidates_oracle(kind, 10**6), 20000))
         ring = cyclotomic._RINGS[kind]
-        got = list(islice(_degree_one_primary_primes(ring, 10**6), 20000))
+        got = list(islice(_degree_one_primes(ring, 10**6), 20000))
         assert len(want) == 20000
         assert got == want
 
@@ -372,7 +384,7 @@ class TestCandidates:
         "norm_limit", [-5, 0, 1, 2, 3, 7, 13, 4095, 4096, 4097, 8192, 8193],
     )
     def test_limits_match_oracle(self, kind, norm_limit):
-        got = list(_degree_one_primary_primes(cyclotomic._RINGS[kind], norm_limit))
+        got = list(_degree_one_primes(cyclotomic._RINGS[kind], norm_limit))
         assert got == list(_candidates_oracle(kind, norm_limit))
 
     @settings(max_examples=100, deadline=None)
@@ -460,10 +472,28 @@ def test_witness_rejects_other_m(witness, m):
     assert type(got.value) is ValueError
 
 
+@pytest.mark.parametrize(
+    "m, witness, token",
+    [(2, witness_primes, "-1"), (3, cubic_witness, "w"), (4, quartic_witness, "i")],
+)
+def test_one_column_search_per_witness(monkeypatch, capsys, m, witness, token):
+    # m = 2, 3 and 4 share qr._column_search, from the library and the CLI
+    from resmat import cli, qr
+
+    calls = _count_calls(monkeypatch, qr._column_search)
+    witness(SignMatrix(m, ((None, 1), (1, None))), 10**6)
+    assert len(calls) == 1
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"0 {token}\n{token} 0\n"))
+    assert cli.main(["witness", "--m", str(m)]) == 0
+    assert capsys.readouterr().out.endswith("\nVERIFIED\n")
+    assert len(calls) == 2
+
+
 def _witness_oracle(matrix, norm_limit):
     """The restart-per-column scan: each column regenerates the candidates
-    by trial from norm 3, skips chosen ideals by same_ideal and compares both
-    symbol directions through the validated public symbols."""
+    by trial from norm 3, filters them by primary class, skips chosen ideals
+    by same_ideal and compares both symbol directions through the validated
+    public symbols.  An exhausted column has tried the norms of its class."""
     if matrix.m == 3:
         kind, symbol, class_filter = "eisenstein", cubic_symbol, None
     else:
@@ -477,12 +507,12 @@ def _witness_oracle(matrix, norm_limit):
 
     chosen = []
     for k in range(matrix.n):
-        tried = 0
+        norms = set()
         for cand in _candidates_oracle(kind, norm_limit):
-            tried += 1
-            if any(same_ideal(cand, q) for q in chosen):
-                continue
             if class_filter is not None and not class_filter(k, cand):
+                continue
+            norms.add(cand.norm())
+            if any(same_ideal(cand, q) for q in chosen):
                 continue
             if all(
                 symbol(cand, qj) == matrix.entries[k][j]
@@ -496,7 +526,7 @@ def _witness_oracle(matrix, norm_limit):
                 f"no prime of norm <= {norm_limit} realizes column {k + 1}",
                 limit=norm_limit,
                 column=k + 1,
-                tried=tried,
+                tried=len(norms),
             )
     return chosen
 

@@ -339,7 +339,7 @@ def _witness_oracle(matrix, limit):
             p += 2
             if p > limit:
                 raise SearchExhaustedError(
-                    f"no prime <= {limit} realizes column {k + 1}",
+                    f"no prime of norm <= {limit} realizes column {k + 1}",
                     limit=limit,
                     column=k + 1,
                     tried=tried,
@@ -457,7 +457,7 @@ class TestWitnessSieveWalk:
         with pytest.raises(SearchExhaustedError) as got:
             witness_primes(M_3_7_13, limit)
         assert (got.value.limit, got.value.column, got.value.tried) == (limit, 1, 0)
-        assert str(got.value) == f"no prime <= {limit} realizes column 1"
+        assert str(got.value) == f"no prime of norm <= {limit} realizes column 1"
 
     @pytest.mark.parametrize("matrix", [M_3_7_13, M_4093, M_4129])
     def test_search_calls_legendre_only_in_post_condition(self, monkeypatch, matrix):
@@ -497,7 +497,7 @@ class TestWitnessOptimized:
             ["witness", "--limit", "1"], "0 -1 1\n1 0 -1\n1 -1 0\n"
         )
         assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr == "error: no prime <= 1 realizes column 1\n"
+        assert proc.stderr == "error: no prime of norm <= 1 realizes column 1\n"
 
 
 class TestJacobiMatrix:
