@@ -48,9 +48,12 @@ class MatrixParseError(ValueError):
 def parse_matrix_text(text, m):
     """Parse one matrix row per line, entries separated by spaces or commas.
 
-    Errors name the line as numbered in the text, blank lines included.
+    One leading byte order mark (U+FEFF), as some editors write at the start
+    of a UTF-8 file, is dropped.  Errors name the line as numbered in the
+    text, blank lines included.
     """
     alphabet = _ALPHABETS[m]
+    text = text.removeprefix("\ufeff")
     lines = [(li, ln) for li, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MatrixParseError(1, 1, "empty matrix")

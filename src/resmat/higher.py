@@ -119,9 +119,9 @@ def _witness(matrix, ring, build, norm_limit):
     if matrix.m != m:
         raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
 
-    def find(k, chosen, candidates):
+    def find(k, chosen, c, walk):
         row = matrix.entries[k]
-        for p in candidates:
+        for p in walk((c,), 2 * m):
             for cand in _primes_over(ring, p):
                 if cand not in chosen and all(
                     _residue_symbol(cand, qj, m) == row[j]

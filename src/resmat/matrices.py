@@ -43,6 +43,10 @@ class SignMatrix(Record):
     entries: tuple[tuple[int | None, ...], ...]
 
     def __init__(self, m, entries):
+        # rows are stored as tuples, so that a matrix given by list rows
+        # hashes and equals its tuple form; tuple rows are kept, not copied
+        if type(entries) is not tuple or list in map(type, entries):
+            entries = tuple(map(tuple, entries))
         setfield(self, "m", m)
         setfield(self, "entries", entries)
         if self.m not in (2, 3, 4):

@@ -145,32 +145,56 @@ def _replay(drawn, source):
 def _column_search(matrix, limit, find):
     """The witnesses for m = 2, 3, 4 by the paper's induction, column by column.
 
-    Column k offers find(k, chosen, candidates) the primes p <= limit of its
-    class mod 2m, ascending; find returns the first of the ring's candidates
-    whose symbols against chosen match the matrix, or None.  The class is
-    m + 1 on the block form's skew block for even m (3 mod 4, resp. 5 mod 8,
-    the norms of the primary primes = 3+2i mod 4) and 1 elsewhere.  The
-    odd_prime_blocks are drawn once and replayed for each column, and an
-    exhausted column has tried every prime of its class.
+    Column k calls find(k, chosen, c, walk): c is the column's class mod 2m,
+    and walk(residues, modulus) iterates the primes p <= limit with p mod
+    modulus in residues, ascending, where the residues lie in that class.
+    find returns the first of the ring's candidates whose symbols against
+    chosen match the matrix, or None.  The class is m + 1 on the block
+    form's skew block for even m (3 mod 4, resp. 5 mod 8, the norms of the
+    primary primes = 3+2i mod 4) and 1 elsewhere.  The odd_prime_blocks are
+    drawn once and replayed for each column, and an exhausted column has
+    tried every prime of its class.
     """
     m = matrix.m
     bd = block_form(matrix)
     skew = set(bd.perm[: bd.s])
     blocks = []
     source = odd_prime_blocks(limit)
+
+    def walk(residues, modulus):
+        return class_primes(_replay(blocks, source), residues, modulus)
+
     chosen = []
     for k in range(matrix.n):
         c = m + 1 if k in skew and m % 2 == 0 else 1
-        found = find(k, chosen, class_primes(_replay(blocks, source), c, 2 * m))
+        found = find(k, chosen, c, walk)
         if found is None:
             raise SearchExhaustedError(
                 f"no prime of norm <= {limit} realizes column {k + 1}",
                 limit=limit,
                 column=k + 1,
-                tried=sum(1 for _ in class_primes(blocks, c, 2 * m)),
+                tried=sum(1 for _ in class_primes(blocks, (c,), 2 * m)),
             )
         chosen.append(found)
     return chosen
+
+
+def _wheel(c, targets):
+    """The sorted residues r mod 4 q_1 ... q_J with r = c (mod 4) and
+    r^e = want (mod q) for each target (q, e, want).
+
+    The q are distinct odd primes.  The residues mod each q are the a in
+    1 .. q - 1 that meet its target, joined by the Chinese remainder theorem.
+    """
+    residues, modulus = [c], 4
+    for q, e, want in targets:
+        wanted = [a for a in range(1, q) if pow(a, e, q) == want]
+        inverse = pow(modulus, -1, q)
+        residues = [
+            r + modulus * ((a - r) * inverse % q) for r in residues for a in wanted
+        ]
+        modulus *= q
+    return sorted(residues)
 
 
 def witness_primes(matrix, limit):
@@ -183,21 +207,35 @@ def witness_primes(matrix, limit):
 
     Each symbol is tested by Euler's criterion against a target fixed for
     the column: (p / p_j) = M[k][j] exactly when p^((p_j-1)/2) is 1 resp.
-    p_j - 1 mod p_j, so a candidate costs one pow per earlier prime, up to
-    the first mismatch, and no legendre call.
+    p_j - 1 mod p_j.  A target depends on p mod p_j alone, so column k walks
+    a wheel: the targets of its smallest earlier primes q_1 < ... < q_J,
+    taken while M = 4 q_1 ... q_J stays <= 2^(k-1), half the column's
+    expected 2^k candidates, fix p mod M to the residues of _wheel (about
+    2^-J of the class), and the walk reads the sieve flags of those p
+    alone.  A candidate then costs one pow per other earlier prime, up to
+    the first mismatch, and no legendre call.  The walk is ascending and
+    the wheel exact, so the witness is the first prime of the class that
+    meets every target.
     """
     signs = matrix.signs()  # a ValueError for m != 2
 
-    def find(k, primes, candidates):
+    def find(k, primes, c, walk):
         row = signs[k]
-        # (pj, e, want): the candidate's power p^e mod pj must equal want; an
-        # earlier prime fails its own target, since its power is 0
-        targets = [
+        # (pj, e, want): the candidate's power p^e mod pj must equal want,
+        # smallest pj first; an earlier prime fails its own target, since its
+        # power is 0, and no wheel residue is 0 mod its prime
+        targets = sorted(
             (pj, (pj - 1) // 2, 1 if row[j] == 1 else pj - 1)
             for j, pj in enumerate(primes)
-        ]
-        for p in candidates:
-            for pj, e, want in targets:
+        )
+        # the wheel: the first targets, while M = 4 q_1 ... q_J <= 2^(k-1)
+        wheel, modulus = 0, 4
+        while wheel < k and modulus * targets[wheel][0] <= 1 << (k - 1):
+            modulus *= targets[wheel][0]
+            wheel += 1
+        rest = targets[wheel:]
+        for p in walk(_wheel(c, targets[:wheel]), modulus):
+            for pj, e, want in rest:
                 if pow(p, e, pj) != want:
                     break
             else:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain, compress, starmap, zip_longest
 from math import isqrt
 
 # Deterministic Miller-Rabin base set.  The least composite that is a strong
@@ -80,15 +80,38 @@ def odd_prime_blocks(limit):
         lo, bound = bound + 1 + bound % 2, min(2 * bound, limit)
 
 
-def class_primes(blocks, residue, modulus):
-    """The primes = residue (mod an even modulus) in (lo, flags) blocks, ascending."""
-    return chain.from_iterable(
-        compress(
-            range(lo + (residue - lo) % modulus, lo + 2 * len(flags), modulus),
-            memoryview(flags)[(residue - lo) % modulus // 2 :: modulus // 2],
+def class_primes(blocks, residues, modulus):
+    """The primes p with p mod an even modulus in the odd residues, ascending.
+
+    Each (lo, flags) block is read one period of the modulus at a time: the
+    p of each residue are a range and their flags a strided slice, zipped
+    in the order of their first p in the block, so the walk reads the flags
+    of those p alone.
+    """
+    if len(residues) == 1:  # one range and one slice, with nothing to zip
+        (r,) = residues
+        return chain.from_iterable(
+            compress(
+                range(lo + (r - lo) % modulus, lo + 2 * len(flags), modulus),
+                memoryview(flags)[(r - lo) % modulus // 2 :: modulus // 2],
+            )
+            for lo, flags in blocks
         )
-        for lo, flags in blocks
-    )
+
+    def block(lo, flags):
+        hi, view = lo + 2 * len(flags), memoryview(flags)
+        starts = sorted((r - lo) % modulus for r in residues)
+        # one tuple per period; the ranges one longer than the rest come first
+        return compress(
+            chain.from_iterable(
+                zip_longest(*[range(lo + s, hi, modulus) for s in starts])
+            ),
+            chain.from_iterable(
+                zip_longest(*[view[s // 2 :: modulus // 2] for s in starts], fillvalue=0)
+            ),
+        )
+
+    return chain.from_iterable(starmap(block, blocks))
 
 
 def sieve_primes(bound):

@@ -87,6 +87,33 @@ class TestParseMatrixText:
             parse_matrix_text("  \n", 2)
 
 
+class TestByteOrderMark:
+    # some editors start a UTF-8 file with U+FEFF; one is dropped
+    BOM = "\ufeff"
+
+    def test_parse_drops_one(self):
+        assert parse_matrix_text(self.BOM + QR_TEXT, 2) == parse_matrix_text(QR_TEXT, 2)
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix_text(2 * self.BOM + QR_TEXT, 2)
+        assert str(exc.value).startswith(
+            f"line 1, entry 1: invalid entry {self.BOM + '0'!r}"
+        )
+
+    def test_positions_unchanged(self):
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix_text(self.BOM + "0 -1\nx 0\n", 2)
+        assert str(exc.value).startswith("line 2, entry 1: invalid entry 'x'")
+
+    @pytest.mark.parametrize("text, code", [(QR_TEXT, 0), (NON_QR_TEXT, 1)])
+    def test_file_and_stdin_get_the_verdict(self, capsys, tmp_path, text, code):
+        path = tmp_path / "matrix.txt"
+        path.write_bytes((self.BOM + text).encode("utf-8"))
+        plain = run_cli(capsys, ["check"], stdin=text)
+        assert plain[0] == code
+        assert run_cli(capsys, ["check", "--file", str(path)]) == plain
+        assert run_cli(capsys, ["check"], stdin=self.BOM + text) == plain
+
+
 class TestCheck:
     def test_member_exit_0(self, capsys):
         code, out, _ = run_cli(capsys, ["check", "--file", "-"], stdin=QR_TEXT)

@@ -41,7 +41,7 @@ GAU_FIXTURE = [GaussianInt(-1, 2), GaussianInt(3, 2)]
 def _degree_one_primes(ring, norm_limit):
     """The witness search's candidates of every column class, ascending:
     _primes_over each sieved p = 1 (mod M)."""
-    for p in class_primes(odd_prime_blocks(norm_limit), 1, lcm(2, ring.M)):
+    for p in class_primes(odd_prime_blocks(norm_limit), (1,), lcm(2, ring.M)):
         yield from _primes_over(ring, p)
 
 
@@ -487,6 +487,22 @@ def test_one_column_search_per_witness(monkeypatch, capsys, m, witness, token):
     assert cli.main(["witness", "--m", str(m)]) == 0
     assert capsys.readouterr().out.endswith("\nVERIFIED\n")
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "witness, rows",
+    [
+        (witness_primes, [[None, 1, 0], [0, None, 1], [0, 1, None]]),
+        (cubic_witness, [[None, 1, 2], [1, None, 0], [2, 0, None]]),
+        (quartic_witness, [[None, 1, 0], [3, None, 2], [0, 2, None]]),
+    ],
+)
+def test_witness_of_list_rows(witness, rows):
+    # the post-condition compares the witness's matrix with the input, so
+    # list rows must equal their tuple form
+    m = {witness_primes: 2, cubic_witness: 3, quartic_witness: 4}[witness]
+    listed, tupled = SignMatrix(m, rows), SignMatrix(m, tuple(map(tuple, rows)))
+    assert witness(listed, 10**6) == witness(tupled, 10**6)
 
 
 def _witness_oracle(matrix, norm_limit):

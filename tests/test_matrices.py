@@ -92,6 +92,25 @@ class TestConstruction:
     def test_n_equals_one(self):
         assert SignMatrix(2, ((None,),)).n == 1
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[None, 0], [1, None]],
+            [(None, 0), (1, None)],
+            ([None, 0], (1, None)),
+        ],
+    )
+    def test_list_rows_equal_tuple_rows(self, rows):
+        mat = SignMatrix(2, rows)
+        tup = SignMatrix(2, ((None, 0), (1, None)))
+        assert mat == tup and hash(mat) == hash(tup)
+        assert mat.entries == ((None, 0), (1, None))
+        assert len({mat, tup}) == 1
+
+    def test_tuple_rows_are_kept(self):
+        rows = ((None, 0), (1, None))
+        assert SignMatrix(2, rows).entries is rows
+
 
 class TestConjugate:
     def test_identity(self):

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resmat
-from resmat import cli, higher
+from resmat import cli, higher, qr
 from resmat.errors import (
     NotAResidueMatrixError,
     SearchExhaustedError,
@@ -28,6 +28,7 @@ from resmat.matrices import (
     fixed_symmetric,
 )
 from resmat.qr import (
+    DEFAULT_PRIME_LIMIT,
     ConfigGraph,
     _pair_diagonal,
     block_form,
@@ -475,6 +476,90 @@ class TestWitnessSieveWalk:
         monkeypatch.setattr(qr, "legendre", counted)
         primes = witness_primes(matrix, 10**7)
         assert calls == [(pi, pj) for pi in primes for pj in primes if pi != pj]
+
+
+def _euler_witness(matrix, limit):
+    """The search without a wheel, the reference for it: every prime of the
+    column's class mod 4 is tested by Euler's criterion against the targets
+    of all earlier primes, one pow each, up to the first mismatch."""
+    signs = matrix.signs()
+
+    def find(k, primes, c, walk):
+        row = signs[k]
+        targets = [
+            (pj, (pj - 1) // 2, 1 if row[j] == 1 else pj - 1)
+            for j, pj in enumerate(primes)
+        ]
+        for p in walk((c,), 4):
+            for pj, e, want in targets:
+                if pow(p, e, pj) != want:
+                    break
+            else:
+                return p
+        return None
+
+    return qr._column_search(matrix, limit, find)
+
+
+def _search_outcome(search, matrix, limit):
+    try:
+        return search(matrix, limit)
+    except SearchExhaustedError as exc:
+        return str(exc), exc.limit, exc.column, exc.tried
+
+
+def _seeded_admissible(seed, n):
+    """A random QR matrix: antisymmetric on a random red set, symmetric elsewhere."""
+    rng = random.Random(seed)
+    red = [rng.random() < 0.5 for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        rows[i][j] = rng.choice((1, -1))
+        rows[j][i] = -rows[i][j] if red[i] and red[j] else rows[i][j]
+    return SignMatrix.from_signs(rows)
+
+
+class TestWheel:
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("qs", [(), (3,), (5,), (3, 5), (5, 3), (3, 5, 7, 11)])
+    def test_residues_match_brute_force(self, c, qs):
+        for signs in itertools.product((1, -1), repeat=len(qs)):
+            # Euler's criterion: (r / q) = s exactly when r^((q-1)/2) is 1
+            # resp. q - 1 mod q
+            targets = [
+                (q, (q - 1) // 2, 1 if s == 1 else q - 1) for q, s in zip(qs, signs)
+            ]
+            modulus = 4 * prod(qs)
+            assert qr._wheel(c, targets) == [
+                r for r in range(modulus)
+                if r % 4 == c and all(legendre(r, q) == s for q, s in zip(qs, signs))
+            ]
+
+    @pytest.mark.parametrize("seed, n", [(seed, 4 + seed) for seed in range(13)])
+    def test_matches_euler_reference(self, monkeypatch, seed, n):
+        # the same witnesses, exhausted column, tried and message, at the
+        # default limit, inside a period of each column's wheel, on and
+        # around its boundary, and across the first block edge at 4097
+        matrix = _seeded_admissible(seed, n)
+        moduli = []
+        wheel = qr._wheel
+
+        def recorded(c, targets):
+            moduli.append(4 * prod(q for q, _, _ in targets))
+            return wheel(c, targets)
+
+        monkeypatch.setattr(qr, "_wheel", recorded)
+        primes = witness_primes(matrix, DEFAULT_PRIME_LIMIT)
+        assert primes == _euler_witness(matrix, DEFAULT_PRIME_LIMIT)
+        assert n < 7 or max(moduli) > 4  # these seeds walk a wheel from n = 7 on
+        limits = {4095, 4096, 4097, 4098}
+        for p, modulus in zip(primes, moduli):
+            edge = p - p % modulus  # the start of the period that holds p
+            limits |= {p - 1, edge - 1, edge, edge + 1}
+        for limit in sorted(limits):
+            assert _search_outcome(witness_primes, matrix, limit) == _search_outcome(
+                _euler_witness, matrix, limit
+            )
 
 
 def _run_optimized_cli(argv, stdin):

@@ -108,7 +108,7 @@ class TestOddPrimeBlocks:
         # 5 MB for the odd numbers to 10**7, and no block sieves from 1 again
         tracemalloc.start()
         try:
-            walk = class_primes(_replay([], odd_prime_blocks(10**7)), 1, 4)
+            walk = class_primes(_replay([], odd_prime_blocks(10**7)), (1,), 4)
             walked = sum(1 for _ in walk)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -126,8 +126,20 @@ class TestOddPrimeBlocks:
     def test_class_primes_match_sieve(self, residue, modulus):
         primes = sieve_primes(max(BLOCK_LIMITS))
         for limit in BLOCK_LIMITS:
-            got = list(class_primes(odd_prime_blocks(limit), residue, modulus))
+            got = list(class_primes(odd_prime_blocks(limit), (residue,), modulus))
             assert got == [p for p in primes if p <= limit and p % modulus == residue]
+
+
+    @pytest.mark.parametrize(
+        "residues, modulus",
+        [((1, 3), 4), ((1, 5), 12), ((7, 11, 19, 23), 24), ((3, 7, 43, 47, 67, 83), 420)],
+    )
+    def test_residue_sets_match_sieve(self, residues, modulus):
+        # several residues are read one period at a time, still ascending
+        primes = sieve_primes(max(BLOCK_LIMITS))
+        for limit in BLOCK_LIMITS:
+            got = list(class_primes(odd_prime_blocks(limit), residues, modulus))
+            assert got == [p for p in primes if p <= limit and p % modulus in residues]
 
 
 class TestIsPrime:
