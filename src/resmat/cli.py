@@ -1,8 +1,8 @@
 """Command-line front end: check, witness, count, freq, symbol subcommands.
 
 Exit codes: 0 success/member, 1 non-member or a closed standard output
-(`resmat ... | head`), 2 parse or usage error (or a --bound / --limit too
-large for memory), 3 witness search exhausted.
+(`resmat ... | head`), 2 parse or usage error (or a --bound too large for
+memory, or a witness search out of memory), 3 witness search exhausted.
 All output is deterministic.
 """
 
@@ -138,7 +138,7 @@ def cmd_witness(args):
     try:
         primes = search(matrix, limit)
     except (MemoryError, OverflowError):
-        # the search sieves blocks of odd numbers up to the limit
+        # the search keeps a bounded set of sieve blocks, but memory can run out
         print(f"error: --limit {limit} is too large to search", file=sys.stderr)
         return 2
     for p in primes:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd
 
+from . import rational
 from .errors import NotAResidueMatrixError, SearchExhaustedError
 from .matrices import (
     SignMatrix,
@@ -17,6 +19,10 @@ from .records import Record, setfield
 
 # Default prime bound of the m=2 witness search in the command line.
 DEFAULT_PRIME_LIMIT = 10**7
+
+# The sieve blocks a witness search keeps: the eleven odd_prime_blocks up to
+# 2**22, so a search below it sieves each number once.
+CACHED_BLOCKS = 11
 
 
 class Decision(Record):
@@ -133,15 +139,6 @@ def block_form(matrix):
     return dec
 
 
-def _replay(drawn, source):
-    """The items in drawn, then new items from source, each appended to drawn."""
-    yield from drawn
-    # a column that stops early closes its replay, but not source (a for loop)
-    for item in source:
-        drawn.append(item)
-        yield item
-
-
 def _column_search(matrix, limit, find):
     """The witnesses for m = 2, 3, 4 by the paper's induction, column by column.
 
@@ -151,18 +148,17 @@ def _column_search(matrix, limit, find):
     find returns the first of the ring's candidates whose symbols against
     chosen match the matrix, or None.  The class is m + 1 on the block
     form's skew block for even m (3 mod 4, resp. 5 mod 8, the norms of the
-    primary primes = 3+2i mod 4) and 1 elsewhere.  The odd_prime_blocks are
-    drawn once and replayed for each column, and an exhausted column has
-    tried every prime of its class.
+    primary primes = 3+2i mod 4) and 1 elsewhere.  Each walk reads the
+    odd_prime_blocks afresh through one sieve cache of CACHED_BLOCKS blocks,
+    and an exhausted column has tried every prime of its class.
     """
     m = matrix.m
     bd = block_form(matrix)
     skew = set(bd.perm[: bd.s])
-    blocks = []
-    source = odd_prime_blocks(limit)
+    sieve = functools.lru_cache(maxsize=CACHED_BLOCKS)(rational.odd_prime_flags)
 
     def walk(residues, modulus):
-        return class_primes(_replay(blocks, source), residues, modulus)
+        return class_primes(odd_prime_blocks(limit, sieve), residues, modulus)
 
     chosen = []
     for k in range(matrix.n):
@@ -173,7 +169,7 @@ def _column_search(matrix, limit, find):
                 f"no prime of norm <= {limit} realizes column {k + 1}",
                 limit=limit,
                 column=k + 1,
-                tried=sum(1 for _ in class_primes(blocks, (c,), 2 * m)),
+                tried=sum(1 for _ in walk((c,), 2 * m)),
             )
         chosen.append(found)
     return chosen

@@ -68,16 +68,20 @@ def odd_prime_flags(bound, lo=1):
     return flags
 
 
-def odd_prime_blocks(limit):
+BLOCK = 2**21  # the span of a sieve block past the doubling, 1 MB of flags
+
+
+def odd_prime_blocks(limit, sieve=odd_prime_flags):
     """odd_prime_flags(limit) as (lo, flags) blocks, flags[i] for lo + 2i.
 
-    The sieve bound starts at 4096 and doubles up to limit; each block
-    sieves only its own odd numbers, from the first odd one after the last.
+    The sieve bound starts at 4096 and doubles until a block spans BLOCK
+    integers, then grows by BLOCK up to limit; each block is sieve(bound, lo),
+    over only its own odd numbers, from the first odd one after the last.
     """
     lo, bound = 1, min(4096, limit)
     while lo <= limit:
-        yield lo, odd_prime_flags(bound, lo)
-        lo, bound = bound + 1 + bound % 2, min(2 * bound, limit)
+        yield lo, sieve(bound, lo)
+        lo, bound = bound + 1 + bound % 2, min(bound + min(bound, BLOCK), limit)
 
 
 def class_primes(blocks, residues, modulus):

@@ -297,7 +297,8 @@ class TestWitness:
     @pytest.mark.parametrize("error", [MemoryError, OverflowError])
     def test_limit_too_large_exit_2(self, capsys, monkeypatch, m, text, error):
         # every witness search sieves its candidates through odd_prime_flags;
-        # past a small bound it fails as a sieve of 10**12 would
+        # past a small bound it fails as a machine out of memory would, since
+        # the blocks a search keeps do not grow with the limit
         from resmat import rational
 
         original = rational.odd_prime_flags

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import factorial, prod
 from pathlib import Path
 
@@ -44,7 +45,7 @@ from resmat.qr import (
     to_config_graph,
     witness_primes,
 )
-from resmat.rational import is_prime, legendre, sieve_primes
+from resmat.rational import BLOCK, is_prime, legendre, odd_prime_flags, sieve_primes
 
 
 def sign_matrices(n):
@@ -560,6 +561,70 @@ class TestWheel:
             assert _search_outcome(witness_primes, matrix, limit) == _search_outcome(
                 _euler_witness, matrix, limit
             )
+
+
+def _traced_peak(call):
+    """call() and the tracemalloc peak in bytes while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedPrimeSource:
+    # a search keeps at most qr.CACHED_BLOCKS sieve blocks, the eleven blocks
+    # up to 2**22, and re-sieves the blocks of a walk that passes them
+
+    @pytest.mark.parametrize(
+        "limit, bound",
+        [
+            # the blocks up to 2**22 and three fixed blocks after them, 5 MB
+            pytest.param(10**7, 8 * 10**6, id="1e7"),
+            # the cache, 11 MB of fixed blocks, and 3 MB for the block being
+            # sieved before the cache evicts one, the sieve's temporaries and
+            # the walk (13.3 MB in all); a source that kept every block would
+            # hold one byte per odd number up to the limit, 20 MB
+            pytest.param(
+                4 * 10**7, qr.CACHED_BLOCKS * BLOCK // 2 + 3 * 10**6, id="4e7"
+            ),
+        ],
+    )
+    def test_two_column_walks_hold_the_cached_blocks(self, limit, bound):
+        # the primes = 1 mod 4 * 3 * 5 * 7 * 11 * 13, as a wheel walks them:
+        # every block is sieved, and few integers are made
+        modulus = 60060
+        walked = []
+
+        def find(k, chosen, c, walk):
+            walked.append(sum(1 for _ in walk((1,), modulus)))
+            return k  # kept as the column's witness, unchecked
+
+        matrix = SignMatrix.from_signs([[0, 1], [1, 0]])
+        _, peak = _traced_peak(lambda: qr._column_search(matrix, limit, find))
+        assert walked == [sum(odd_prime_flags(limit)[:: modulus // 2])] * 2
+        assert peak <= bound
+
+    def test_n22_search_peak(self):
+        # seed 18 needs a witness of 34002863, past 2**25: a source that kept
+        # every doubling block peaks at 44.8 MB here, the cache at 13.3 MB
+        matrix = _seeded_admissible(18, 22)
+        primes, peak = _traced_peak(lambda: witness_primes(matrix, 4 * 10**9))
+        assert max(primes) == 34002863
+        assert peak <= 20 * 10**6
+
+    def test_exhaust_past_the_cached_blocks(self):
+        # seed 2 needs a witness of 9421661 at n = 18; its walk to the limit
+        # re-sieves the blocks past 2**22, and so does the count of tried
+        limit = 2**22 + BLOCK + 1
+        matrix = _seeded_admissible(2, 18)
+        with pytest.raises(SearchExhaustedError) as got:
+            witness_primes(matrix, limit)
+        dec = block_form(matrix)
+        c = 3 if got.value.column - 1 in dec.perm[: dec.s] else 1
+        # the primes = c mod 4, off one sieve up to the limit
+        assert got.value.tried == sum(odd_prime_flags(limit)[(c - 1) // 2 :: 2])
 
 
 def _run_optimized_cli(argv, stdin):

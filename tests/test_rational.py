@@ -1,11 +1,9 @@
-import tracemalloc
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from resmat.qr import _replay
 from resmat.rational import (
+    BLOCK,
     MR_LIMIT,
     class_primes,
     is_prime,
@@ -93,28 +91,40 @@ class TestOddPrimeFlags:
 BLOCK_LIMITS = [*range(3001), 4095, 4096, 4097, 8191, 8192, 8193, 16383, 16384, 16385]
 
 
+def _assert_blocks_concatenate_to_flags(limit):
+    blocks = list(odd_prime_blocks(limit))
+    assert b"".join(flags for _, flags in blocks) == odd_prime_flags(limit)
+    end = 1  # each block starts at the first odd number after the last
+    for lo, flags in blocks:
+        assert lo == end
+        end = lo + 2 * len(flags)
+    return blocks
+
+
 class TestOddPrimeBlocks:
     def test_blocks_concatenate_to_flags(self):
         for limit in BLOCK_LIMITS:
-            blocks = list(odd_prime_blocks(limit))
-            assert b"".join(flags for _, flags in blocks) == odd_prime_flags(limit)
-            end = 1  # each block starts at the first odd number after the last
-            for lo, flags in blocks:
-                assert lo == end
-                end = lo + 2 * len(flags)
+            _assert_blocks_concatenate_to_flags(limit)
 
-    def test_walk_holds_one_byte_per_odd_number(self):
-        # the walk of an exhausted m=2 column: every block is kept for replay,
-        # 5 MB for the odd numbers to 10**7, and no block sieves from 1 again
-        tracemalloc.start()
-        try:
-            walk = class_primes(_replay([], odd_prime_blocks(10**7)), (1,), 4)
-            walked = sum(1 for _ in walk)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert walked == 332180  # the primes = 1 mod 4 up to 10**7
-        assert peak <= 8 * 10**6
+    @pytest.mark.parametrize(
+        "limit, count",
+        [
+            # both sides of 2**22, where the doubling ends with a block of
+            # BLOCK integers, and of the first fixed block after it
+            (2**22 - 1, 11),
+            (2**22, 11),
+            (2**22 + 1, 12),
+            (2**22 + BLOCK - 1, 12),
+            (2**22 + BLOCK, 12),
+            (2**22 + BLOCK + 1, 13),
+        ],
+    )
+    def test_blocks_past_the_doubling(self, limit, count):
+        blocks = _assert_blocks_concatenate_to_flags(limit)
+        assert len(blocks) == count
+        # 4096 integers, then each block as long as all before it, up to BLOCK
+        spans = [2 * len(flags) for _, flags in blocks[:-1]]
+        assert spans == [min(lo - 1, BLOCK) or 4096 for lo, _ in blocks[:-1]]
 
     @pytest.mark.parametrize("limit", range(-5, 0))
     def test_negative_limit_is_empty(self, limit):
