@@ -114,10 +114,8 @@ def _witness(matrix, ring, build, norm_limit):
     # find tests both symbol directions.  The moduli are primary primes by
     # construction, so the symbols skip the public functions' checks, and a
     # primary generator is unique per prime ideal, so a chosen prime is
-    # found by equality.  build checks the result, every symbol both ways.
+    # found by equality.
     m = ring.M
-    if matrix.m != m:
-        raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
 
     def find(k, chosen, c, walk):
         row = matrix.entries[k]
@@ -131,10 +129,7 @@ def _witness(matrix, ring, build, norm_limit):
                     return cand
         return None
 
-    chosen = _column_search(matrix, norm_limit, find)
-    if build(chosen) != matrix:
-        raise RuntimeError(f"witness {chosen} does not reproduce the matrix")
-    return chosen
+    return _column_search(matrix, m, norm_limit, find, build)
 
 
 def cubic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):

@@ -139,9 +139,10 @@ def block_form(matrix):
     return dec
 
 
-def _column_search(matrix, limit, find):
+def _column_search(matrix, m, limit, find, build):
     """The witnesses for m = 2, 3, 4 by the paper's induction, column by column.
 
+    A matrix of another m is a ValueError before any block is sieved.
     Column k calls find(k, chosen, c, walk): c is the column's class mod 2m,
     and walk(residues, modulus) iterates the primes p <= limit with p mod
     modulus in residues, ascending, where the residues lie in that class.
@@ -150,9 +151,12 @@ def _column_search(matrix, limit, find):
     form's skew block for even m (3 mod 4, resp. 5 mod 8, the norms of the
     primary primes = 3+2i mod 4) and 1 elsewhere.  Each walk reads the
     odd_prime_blocks afresh through one sieve cache of CACHED_BLOCKS blocks,
-    and an exhausted column has tried every prime of its class.
+    and an exhausted column has tried every prime of its class.  build
+    recomputes every symbol of the witnesses in both directions, so the
+    check that it gives the matrix also guards each find's shortcuts.
     """
-    m = matrix.m
+    if matrix.m != m:
+        raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
     bd = block_form(matrix)
     skew = set(bd.perm[: bd.s])
     sieve = functools.lru_cache(maxsize=CACHED_BLOCKS)(rational.odd_prime_flags)
@@ -172,6 +176,8 @@ def _column_search(matrix, limit, find):
                 tried=sum(1 for _ in walk((c,), 2 * m)),
             )
         chosen.append(found)
+    if build(chosen) != matrix:
+        raise RuntimeError(f"witnesses {chosen} do not reproduce the matrix")
     return chosen
 
 
@@ -213,15 +219,14 @@ def witness_primes(matrix, limit):
     the wheel exact, so the witness is the first prime of the class that
     meets every target.
     """
-    signs = matrix.signs()  # a ValueError for m != 2
 
     def find(k, primes, c, walk):
-        row = signs[k]
+        row = matrix.entries[k]
         # (pj, e, want): the candidate's power p^e mod pj must equal want,
         # smallest pj first; an earlier prime fails its own target, since its
         # power is 0, and no wheel residue is 0 mod its prime
         targets = sorted(
-            (pj, (pj - 1) // 2, 1 if row[j] == 1 else pj - 1)
+            (pj, (pj - 1) // 2, pj - 1 if row[j] else 1)
             for j, pj in enumerate(primes)
         )
         # the wheel: the first targets, while M = 4 q_1 ... q_J <= 2^(k-1)
@@ -238,12 +243,7 @@ def witness_primes(matrix, limit):
                 return p
         return None
 
-    primes = _column_search(matrix, limit, find)
-    # checks every symbol in both directions, so it also guards the
-    # reciprocity shortcut above
-    if qr_matrix_from_primes(primes) != matrix:
-        raise RuntimeError(f"witness primes {primes} do not reproduce the matrix")
-    return primes
+    return _column_search(matrix, 2, limit, find, qr_matrix_from_primes)
 
 
 def jacobi_matrix(values):

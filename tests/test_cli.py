@@ -326,7 +326,7 @@ class TestWitness:
 
 class TestWitnessVerifiedOnce:
     # the search's own post-condition is the only recomputation of the matrix
-    @pytest.mark.parametrize(
+    BUILDERS = pytest.mark.parametrize(
         "m, text, module, name",
         [
             (2, QR_TEXT, resmat.qr, "qr_matrix_from_primes"),
@@ -334,6 +334,8 @@ class TestWitnessVerifiedOnce:
             (4, QUARTIC_TEXT, resmat.higher, "quartic_matrix"),
         ],
     )
+
+    @BUILDERS
     def test_matrix_built_once(self, capsys, monkeypatch, m, text, module, name):
         calls = []
         original = getattr(module, name)
@@ -347,11 +349,14 @@ class TestWitnessVerifiedOnce:
         assert (code, err) == (0, "") and out.endswith("\nVERIFIED\n")
         assert len(calls) == 1
 
-    def test_mismatch_raises(self, capsys, monkeypatch):
-        # a post-condition that fails is a RuntimeError, never a printed verdict
-        monkeypatch.setattr(resmat.qr, "qr_matrix_from_primes", lambda primes: None)
-        with pytest.raises(RuntimeError, match="do not reproduce the matrix"):
-            run_cli(capsys, ["witness"], stdin=QR_TEXT)
+    @BUILDERS
+    def test_mismatch_raises(self, capsys, monkeypatch, m, text, module, name):
+        # a post-condition that fails is a RuntimeError, never a printed
+        # verdict, with one message for every m
+        monkeypatch.setattr(module, name, lambda primes: None)
+        message = r"^witnesses \[.+\] do not reproduce the matrix$"
+        with pytest.raises(RuntimeError, match=message):
+            run_cli(capsys, ["witness", "--m", str(m)], stdin=text)
 
 
 class TestHigherWitnessOptimized:

@@ -464,12 +464,20 @@ def test_limit_below_three_exhausts_first_column(witness, norm_limit):
         if m != own_m
     ],
 )
-def test_witness_rejects_other_m(witness, m):
+def test_witness_rejects_other_m(monkeypatch, witness, m):
     # symmetric, so a member for every m: only the m check can reject it
+
+    def unsieved(bound, lo=1):
+        raise AssertionError("sieved a block")
+
+    # the column search's check, one message for every m, before any block
+    monkeypatch.setattr(rational, "odd_prime_flags", unsieved)
+    own_m = {witness_primes: 2, cubic_witness: 3, quartic_witness: 4}[witness]
     mat = SignMatrix(m, ((None, 1), (1, None)))
     with pytest.raises(ValueError) as got:
         witness(mat, 100)
     assert type(got.value) is ValueError
+    assert str(got.value) == f"expected an m={own_m} sign matrix, got m={m}"
 
 
 @pytest.mark.parametrize(

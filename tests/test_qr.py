@@ -499,7 +499,7 @@ def _euler_witness(matrix, limit):
                 return p
         return None
 
-    return qr._column_search(matrix, limit, find)
+    return qr._column_search(matrix, 2, limit, find, qr_matrix_from_primes)
 
 
 def _search_outcome(search, matrix, limit):
@@ -599,10 +599,15 @@ class TestBoundedPrimeSource:
 
         def find(k, chosen, c, walk):
             walked.append(sum(1 for _ in walk((1,), modulus)))
-            return k  # kept as the column's witness, unchecked
+            # the witnesses of the matrix, 3 = 3 mod 4 on its 1x1 skew block
+            # and 13 = 1 mod 4, with (3 / 13) = (13 / 3) = +1
+            return (3, 13)[k]
 
         matrix = SignMatrix.from_signs([[0, 1], [1, 0]])
-        _, peak = _traced_peak(lambda: qr._column_search(matrix, limit, find))
+        primes, peak = _traced_peak(
+            lambda: qr._column_search(matrix, 2, limit, find, qr_matrix_from_primes)
+        )
+        assert primes == [3, 13]
         assert walked == [sum(odd_prime_flags(limit)[:: modulus // 2])] * 2
         assert peak <= bound
 

@@ -1,7 +1,10 @@
+from math import prod
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resmat.qr import _wheel
 from resmat.rational import (
     BLOCK,
     MR_LIMIT,
@@ -150,6 +153,28 @@ class TestOddPrimeBlocks:
         for limit in BLOCK_LIMITS:
             got = list(class_primes(odd_prime_blocks(limit), residues, modulus))
             assert got == [p for p in primes if p <= limit and p % modulus in residues]
+
+    def test_wheel_wider_than_a_block(self):
+        # an m=2 wheel on the targets of 3, 5, ..., 19: its modulus 19399380
+        # spans more than a block, so each block past the doubling holds at
+        # most one p of each of the 12960 residues, and most hold none
+        qs = (3, 5, 7, 11, 13, 17, 19)
+        targets = [(q, (q - 1) // 2, 1 if i % 2 else q - 1) for i, q in enumerate(qs)]
+        residues = _wheel(3, targets)
+        modulus, wanted = 4 * prod(qs), set(residues)
+        assert (len(residues), modulus) == (12960, 19399380) and modulus > BLOCK
+        limit = 2**22 + BLOCK + 10**5
+        got = list(class_primes(odd_prime_blocks(limit), residues, modulus))
+        assert got == [p for p in sieve_primes(limit) if p % modulus in wanted]
+        assert got[-1] > 2**22 + BLOCK
+        # a block across a multiple of the modulus, where the residues wrap
+        lo = modulus - BLOCK // 2 + 1
+        block = (lo, odd_prime_flags(lo + BLOCK - 1, lo))
+        got = list(class_primes([block], residues, modulus))
+        assert got == [
+            p for p in range(lo, lo + BLOCK, 2) if p % modulus in wanted and is_prime(p)
+        ]
+        assert got[0] < modulus < got[-1]
 
 
 class TestIsPrime:
