@@ -2,8 +2,9 @@
 
 Exit codes: 0 success/member, 1 non-member or a closed standard output
 (`resmat ... | head`), 2 parse or usage error (or a --bound too large for
-memory, or a witness search out of memory), 3 witness search exhausted.
-All output is deterministic.
+memory, or a witness search out of memory), 3 witness search exhausted
+at its --limit.  Without --limit a witness search has no bound: every
+admissible column is realized by some prime.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import os
 import sys
 from functools import lru_cache
+from math import inf
 
 from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
@@ -128,18 +130,16 @@ def cmd_witness(args):
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
     matrix = _read_matrix(args.file, args.m)
-    if args.m == 2:
-        limit, search = qr.DEFAULT_PRIME_LIMIT, qr.witness_primes
-    else:
-        limit = higher.DEFAULT_NORM_LIMIT
-        search = higher.cubic_witness if args.m == 3 else higher.quartic_witness
-    if args.limit is not None:
-        limit = args.limit
+    # looked up per call, so that a tracer that rebinds a search sees it
+    search = {2: qr.witness_primes, 3: higher.cubic_witness, 4: higher.quartic_witness}
     try:
-        primes = search(matrix, limit)
+        primes = search[args.m](matrix, inf if args.limit is None else args.limit)
     except (MemoryError, OverflowError):
         # the search keeps a bounded set of sieve blocks, but memory can run out
-        print(f"error: --limit {limit} is too large to search", file=sys.stderr)
+        if args.limit is None:
+            print("error: the witness search ran out of memory", file=sys.stderr)
+        else:
+            print(f"error: --limit {args.limit} is too large to search", file=sys.stderr)
         return 2
     for p in primes:
         print(p)
@@ -273,8 +273,8 @@ def build_parser():
         "--limit",
         type=int,
         default=None,
-        help="search bound: prime limit for m=2 (default 10^7), norm limit "
-        "for m=3,4 (default 10^6)",
+        help="cap the search: prime limit for m=2, norm limit for m=3,4; "
+        "exit 3 when a column has no witness up to it (default: no cap)",
     )
     p.set_defaults(func=cmd_witness)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import inf
+
 from .cyclotomic import (
     EisensteinInt,
     GaussianInt,
@@ -14,8 +16,6 @@ from .cyclotomic import (
 )
 from .matrices import SignMatrix
 from .qr import _column_search, decide
-
-DEFAULT_NORM_LIMIT = 10**6
 
 
 def _validate_primary_primes(primes, ring):
@@ -69,11 +69,11 @@ def is_quartic_residue_matrix(matrix):
 
 # --- deterministic witness search ---
 #
-# The existence argument is Chebotarev's theorem.  For each prime p of the
-# column's class in qr._column_search both conjugate ideals are offered, the
-# one whose residue field sends w (resp. i) to the larger root first; this
-# pins down, e.g., -2-3w as the first Eisenstein candidate and -1+2i as the
-# first Gaussian one.
+# The existence argument is Chebotarev's theorem, so with no norm_limit a
+# column ends at its witness.  For each prime p of the column's class in
+# qr._column_search both conjugate ideals are offered, the one whose residue
+# field sends w (resp. i) to the larger root first; this pins down, e.g.,
+# -2-3w as the first Eisenstein candidate and -1+2i as the first Gaussian one.
 
 
 def _prime_over(ring, p, r):
@@ -132,12 +132,12 @@ def _witness(matrix, ring, build, norm_limit):
     return _column_search(matrix, m, norm_limit, find, build)
 
 
-def cubic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
+def cubic_witness(matrix, norm_limit=inf):
     """Distinct primary Eisenstein primes whose cubic matrix equals the input."""
     return _witness(matrix, EisensteinInt, cubic_matrix, norm_limit)
 
 
-def quartic_witness(matrix, norm_limit=DEFAULT_NORM_LIMIT):
+def quartic_witness(matrix, norm_limit=inf):
     """Distinct primary Gaussian primes whose quartic matrix equals the input.
 
     Skew-block indices get generators = 3+2i mod 4, the rest = 1 mod 4.

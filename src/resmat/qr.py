@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import gcd
+from math import gcd, inf
 
 from . import rational
 from .errors import NotAResidueMatrixError, SearchExhaustedError
@@ -16,9 +16,6 @@ from .matrices import (
 )
 from .rational import class_primes, is_prime, jacobi, legendre, odd_prime_blocks
 from .records import Record, setfield
-
-# Default prime bound of the m=2 witness search in the command line.
-DEFAULT_PRIME_LIMIT = 10**7
 
 # The sieve blocks a witness search keeps: the eleven odd_prime_blocks up to
 # 2**22, so a search below it sieves each number once.
@@ -199,7 +196,7 @@ def _wheel(c, targets):
     return sorted(residues)
 
 
-def witness_primes(matrix, limit):
+def witness_primes(matrix, limit=inf):
     """Distinct odd primes whose QR matrix equals the input exactly.
 
     The _column_search that tests only the symbols (p / p_j): by quadratic
@@ -217,7 +214,8 @@ def witness_primes(matrix, limit):
     alone.  A candidate then costs one pow per other earlier prime, up to
     the first mismatch, and no legendre call.  The walk is ascending and
     the wheel exact, so the witness is the first prime of the class that
-    meets every target.
+    meets every target.  With no limit, the default, each column ends there,
+    as each wheel residue is prime to its modulus (Dirichlet's theorem).
     """
 
     def find(k, primes, c, walk):

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import resmat
-from resmat import matrices, qr
+from resmat import higher, matrices, qr
 from resmat.cli import (
     MatrixParseError,
     _format_freq,
@@ -312,6 +313,33 @@ class TestWitness:
         argv = ["witness", "--m", str(m), "--limit", str(10**12)]
         code, out, err = run_cli(capsys, argv, stdin=text)
         assert (code, out, err) == (2, "", f"error: --limit {10**12} is too large to search\n")
+        # without --limit there is no bound to name
+        code, out, err = run_cli(capsys, argv[:-2], stdin=text)
+        assert (code, out, err) == (2, "", "error: the witness search ran out of memory\n")
+
+    @pytest.mark.parametrize(
+        "m, module, name",
+        [
+            (2, qr, "witness_primes"),
+            (3, higher, "cubic_witness"),
+            (4, higher, "quartic_witness"),
+        ],
+    )
+    @pytest.mark.parametrize("flags, limit", [([], math.inf), (["--limit", "12345"], 12345)])
+    def test_search_gets_the_limit(self, capsys, monkeypatch, m, module, name, flags, limit):
+        # no --limit is no bound for every m; --limit N caps the search at N
+        calls = []
+
+        def recording(matrix, limit):
+            calls.append((matrix.m, limit))
+            return []
+
+        monkeypatch.setattr(module, name, recording)
+        text = {2: QR_TEXT, 3: CUBIC_TEXT, 4: QUARTIC_TEXT}[m]
+        code, out, _ = run_cli(capsys, ["witness", "--m", str(m), *flags], stdin=text)
+        assert (code, out) == (0, "VERIFIED\n")
+        assert calls == [(m, limit)]
+        assert type(calls[0][1]) is type(limit)  # 12345, not 12345.0
 
     def test_cubic(self, capsys):
         code, out, _ = run_cli(capsys, ["witness", "--m", "3"], stdin=CUBIC_TEXT)

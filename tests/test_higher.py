@@ -2,13 +2,13 @@ import io
 import random
 import sys
 from itertools import islice
-from math import lcm
+from math import inf, lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resmat import cyclotomic, rational
+from resmat import cyclotomic, higher, rational
 from resmat.cyclotomic import (
     EisensteinInt,
     GaussianInt,
@@ -294,6 +294,29 @@ class TestWitnesses:
             if p % (2 * modulus) == c and is_prime(p)
         ]
         assert exc.tried == len(split)
+
+    @pytest.mark.parametrize(
+        "witness, build, fixture",
+        [
+            (cubic_witness, cubic_matrix, EIS_FIXTURE),
+            (quartic_witness, quartic_matrix, GAU_FIXTURE),
+        ],
+    )
+    def test_no_limit_is_unbounded(self, monkeypatch, witness, build, fixture):
+        # the second witness has norm 13: a cap of 12 exhausts its column,
+        # and with no norm_limit, the default, the frame walks with no bound
+        mat = build(fixture)
+        with pytest.raises(SearchExhaustedError):
+            witness(mat, 12)
+        limits, frame = [], higher._column_search
+
+        def recording(matrix, m, limit, find, build):
+            limits.append(limit)
+            return frame(matrix, m, limit, find, build)
+
+        monkeypatch.setattr(higher, "_column_search", recording)
+        assert witness(mat) == fixture
+        assert limits == [inf]
 
     def test_cubic_roundtrip_random(self):
         rng = random.Random(20260823)

@@ -1,3 +1,4 @@
+import io
 import itertools
 import os
 import random
@@ -29,7 +30,6 @@ from resmat.matrices import (
     fixed_symmetric,
 )
 from resmat.qr import (
-    DEFAULT_PRIME_LIMIT,
     ConfigGraph,
     _pair_diagonal,
     block_form,
@@ -538,9 +538,9 @@ class TestWheel:
 
     @pytest.mark.parametrize("seed, n", [(seed, 4 + seed) for seed in range(13)])
     def test_matches_euler_reference(self, monkeypatch, seed, n):
-        # the same witnesses, exhausted column, tried and message, at the
-        # default limit, inside a period of each column's wheel, on and
-        # around its boundary, and across the first block edge at 4097
+        # the same witnesses, exhausted column, tried and message, at an
+        # explicit limit of 10**7, inside a period of each column's wheel, on
+        # and around its boundary, and across the first block edge at 4097
         matrix = _seeded_admissible(seed, n)
         moduli = []
         wheel = qr._wheel
@@ -550,8 +550,8 @@ class TestWheel:
             return wheel(c, targets)
 
         monkeypatch.setattr(qr, "_wheel", recorded)
-        primes = witness_primes(matrix, DEFAULT_PRIME_LIMIT)
-        assert primes == _euler_witness(matrix, DEFAULT_PRIME_LIMIT)
+        primes = witness_primes(matrix, 10**7)
+        assert primes == _euler_witness(matrix, 10**7)
         assert n < 7 or max(moduli) > 4  # these seeds walk a wheel from n = 7 on
         limits = {4095, 4096, 4097, 4098}
         for p, modulus in zip(primes, moduli):
@@ -561,6 +561,34 @@ class TestWheel:
             assert _search_outcome(witness_primes, matrix, limit) == _search_outcome(
                 _euler_witness, matrix, limit
             )
+
+
+class TestNoDefaultBound:
+    # with no limit a column walks on to its witness, however far it lies;
+    # these three matrices need witnesses past 10**7
+    @pytest.mark.parametrize("seed, column", [(1, 20), (2, 19), (3, 20)])
+    def test_a_cap_exhausts_and_no_limit_realizes(self, seed, column):
+        matrix = _seeded_admissible(seed, 20)
+        with pytest.raises(SearchExhaustedError) as got:
+            witness_primes(matrix, 10**7)
+        assert got.value.column == column
+        primes = witness_primes(matrix)
+        assert max(primes) > 10**7
+        assert primes == witness_primes(matrix, 4 * 10**9)
+
+    def test_cli_without_limit(self, capsys, monkeypatch):
+        # the 20x20 matrix of seed 1: its last two witnesses lie past 2**22
+        matrix = _seeded_admissible(1, 20)
+        text = "".join(" ".join(map(str, row)) + "\n" for row in matrix.signs())
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert cli.main(["witness"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "3", "13", "37", "43", "11", "67", "277", "5077", "3583", "14107",
+            "20389", "60607", "163249", "516623", "342283", "808217", "457271",
+            "60041", "5047417", "11324759", "VERIFIED",
+        ]
 
 
 def _traced_peak(call):

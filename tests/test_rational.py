@@ -1,4 +1,5 @@
-from math import prod
+from itertools import islice
+from math import inf, prod
 
 import pytest
 from hypothesis import given
@@ -128,6 +129,19 @@ class TestOddPrimeBlocks:
         # 4096 integers, then each block as long as all before it, up to BLOCK
         spans = [2 * len(flags) for _, flags in blocks[:-1]]
         assert spans == [min(lo - 1, BLOCK) or 4096 for lo, _ in blocks[:-1]]
+
+    def test_no_limit_walks_the_capped_blocks(self):
+        # an unbounded walk sieves the (lo, bound) blocks of a capped one, so
+        # it holds the same memory; 16 blocks reach past 2**22
+        def schedule(limit):
+            # a sieve that sieves nothing and returns its (lo, bound)
+            blocks = odd_prime_blocks(limit, lambda bound, lo: (lo, bound))
+            return [block for _, block in islice(blocks, 16)]
+
+        blocks = schedule(inf)
+        assert blocks == schedule(4 * 10**9)
+        assert all(type(bound) is int for _, bound in blocks)
+        assert blocks[-1][1] > 2**22
 
     @pytest.mark.parametrize("limit", range(-5, 0))
     def test_negative_limit_is_empty(self, limit):
