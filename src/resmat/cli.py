@@ -5,6 +5,7 @@ Exit codes: 0 success/member, 1 non-member or a closed standard output
 memory, or a witness search out of memory), 3 witness search exhausted
 at its --limit.  Without --limit a witness search has no bound: every
 admissible column is realized by some prime.  All output is deterministic.
+A call is parsed once, by the parser of the subcommand it names.
 """
 
 from __future__ import annotations
@@ -155,8 +156,7 @@ def cmd_count(args):
         value = qr.count_qr_classes(n) if args.classes else qr.count_qr_matrices(n)
     elif not args.classes:
         # symmetric or skew members: the identity term, one free sign per pair
-        matrices._check_count_range(n)
-        value = matrices.fixed_symmetric((1,) * n)
+        value = matrices.identity_term(n, matrices.fixed_symmetric)
     elif args.kind == "symmetric":
         value = matrices.count_symmetric_classes(n)
     else:
@@ -253,7 +253,10 @@ def cmd_symbol(args):
 
 @lru_cache(maxsize=1)
 def build_parser():
-    """The `resmat` parser, built on first use and shared by later calls."""
+    """The `resmat` parser and its subcommands' parsers by name.
+
+    Built on first use and shared by later calls.
+    """
     parser = argparse.ArgumentParser(
         prog="resmat",
         description="Quadratic, cubic, and quartic residue matrix toolkit",
@@ -304,7 +307,7 @@ def build_parser():
         help="replace operands by their primary associates first",
     )
     p.set_defaults(func=cmd_symbol)
-    return parser
+    return parser, sub.choices
 
 
 def _join_value_flags(argv):
@@ -324,10 +327,29 @@ def _join_value_flags(argv):
     return out
 
 
+def _parse(argv):
+    """Parse argv once, by the parser of the subcommand that argv[0] names.
+
+    The top-level parser would classify every token before handing them all
+    to that parser, which parses them again; what is left over gets the
+    top-level parser's usage and message, as it would there.  An argv that
+    does not start with a subcommand (none, -h, an unknown command or an
+    option before it) goes to the top-level parser.
+    """
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_value_flags(argv))
+    args = _parse(_join_value_flags(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

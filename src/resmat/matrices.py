@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import factorial, gcd
+from operator import itemgetter
 
 from .errors import UnsupportedDimensionError
 from .records import Record, setfield
@@ -190,53 +191,97 @@ def equivalence_classes(matrices):
 # Graphical Enumeration, ch. 1 and 5).
 
 
-def _partitions(n, largest=None):
-    """Partitions of n as non-increasing tuples of parts."""
-    if n == 0:
-        yield ()
-        return
-    for part in range(min(n, largest or n), 0, -1):
-        for rest in _partitions(n - part, part):
-            yield (part,) + rest
+class CycleType(tuple):
+    """The invariants of one cycle type of S_n that the fixed-point counts
+    read, as the tuple (size, pairs, odd, even, fixed):
+
+    - size: permutations of this type, n! / prod(c^k * k!) over its k
+      cycles of each length c
+    - pairs: orbits on unordered pairs {i, j}
+    - odd: odd cycles, fixed points included
+    - even: even cycles
+    - fixed: fixed points
+    """
+
+    # a tuple subclass: collections.namedtuple would take longer to define
+    # than the rest of this module takes to import
+    __slots__ = ()
+    size = property(itemgetter(0))
+    pairs = property(itemgetter(1))
+    odd = property(itemgetter(2))
+    even = property(itemgetter(3))
+    fixed = property(itemgetter(4))
 
 
-def _cycle_type_size(cycles):
-    """Number of permutations of sum(cycles) points with this cycle type."""
-    size = factorial(sum(cycles))
-    for length, mult in Counter(cycles).items():
-        size //= length**mult * factorial(mult)
-    return size
+def cycle_types(n):
+    """The p(n) cycle types of S_n, one CycleType each.
 
+    The walk adds cycle lengths largest first, k copies of a length at a
+    time, and carries the invariants down its edges.  k copies of length c
+    divide the class size by c^k * k! and add k*(c//2) + C(k,2)*c +
+    k*sum(k_d * gcd(c, d)) pair orbits, the sum running over the runs of k_d
+    cycles of length d > c added before them.  The types come in descending
+    lexicographic order of their partitions of n.
+    """
 
-def pair_orbit_count(cycles):
-    """Orbits on unordered pairs of a permutation with the given cycle type."""
-    return sum(c // 2 for c in cycles) + sum(
-        gcd(a, b) for a, b in itertools.combinations(cycles, 2)
-    )
+    def walk(rest, largest, runs, size, pairs, odd, even):
+        for c in range(min(rest, largest), 1, -1):
+            across = c // 2 + sum(k_d * gcd(c, d) for d, k_d in runs)
+            for k in range(rest // c, 0, -1):
+                yield from walk(
+                    rest - k * c,
+                    c - 1,
+                    runs + ((c, k),),
+                    size // (c**k * factorial(k)),
+                    pairs + k * across + k * (k - 1) // 2 * c,
+                    odd + k * (c % 2),
+                    even + k * (1 - c % 2),
+                )
+        # the rest are fixed points: one pair orbit for each two of them, and
+        # one for each fixed point and cycle of the odd + even cycles so far
+        yield CycleType((
+            size // factorial(rest),
+            pairs + rest * (rest - 1) // 2 + rest * (odd + even),
+            odd + rest,
+            even,
+            rest,
+        ))
+
+    return walk(n, n, (), factorial(n), 0, 0, 0)
 
 
 def orbit_class_count(n, fixed):
     """Number of permutation-equivalence classes of a conjugation-closed set.
 
-    fixed(cycles) is the number of members that a permutation of cycle type
-    cycles (a partition of n) fixes; by Burnside's lemma the class count is
-    the average of that number over all n! permutations.
+    fixed(t) is the number of members that a permutation of CycleType t
+    fixes; by Burnside's lemma the class count is the average of that number
+    over all n! permutations.
     """
-    total = sum(_cycle_type_size(c) * fixed(c) for c in _partitions(n))
+    _check_count_range(n)
+    total = sum(t.size * fixed(t) for t in cycle_types(n))
     classes, rest = divmod(total, factorial(n))
     if rest:
         raise RuntimeError(f"fixed-point counts for n={n} do not average to an integer")
     return classes
 
 
-def fixed_symmetric(cycles):
-    """Symmetric sign matrices fixed by a permutation of this cycle type."""
-    return 1 << pair_orbit_count(cycles)
+def identity_term(n, fixed):
+    """Members of a conjugation-closed set: the identity term of Burnside's sum.
+
+    The identity, of type 1^n, fixes every member.
+    """
+    _check_count_range(n)
+    return fixed(CycleType((1, n * (n - 1) // 2, n, 0, n)))
 
 
-def fixed_skew(cycles):
-    """Skew-symmetric sign matrices fixed by a permutation of this cycle type."""
-    return 0 if any(c % 2 == 0 for c in cycles) else 1 << pair_orbit_count(cycles)
+def fixed_symmetric(t):
+    """Symmetric sign matrices fixed by a permutation of CycleType t."""
+    return 1 << t.pairs
+
+
+def fixed_skew(t):
+    """Skew-symmetric sign matrices fixed by a permutation of CycleType t."""
+    return 0 if t.even else 1 << t.pairs
 
 
 def _check_count_range(n):
@@ -247,11 +292,9 @@ def _check_count_range(n):
 
 def count_symmetric_classes(n):
     """Permutation-equivalence classes of symmetric n x n sign matrices."""
-    _check_count_range(n)
     return orbit_class_count(n, fixed_symmetric)
 
 
 def count_skew_classes(n):
     """Permutation-equivalence classes of skew-symmetric n x n sign matrices."""
-    _check_count_range(n)
     return orbit_class_count(n, fixed_skew)

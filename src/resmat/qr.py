@@ -8,12 +8,7 @@ from math import gcd, inf
 
 from . import rational
 from .errors import NotAResidueMatrixError, SearchExhaustedError
-from .matrices import (
-    SignMatrix,
-    _check_count_range,
-    orbit_class_count,
-    pair_orbit_count,
-)
+from .matrices import SignMatrix, identity_term, orbit_class_count
 from .rational import class_primes, is_prime, jacobi, legendre, odd_prime_blocks
 from .records import Record, setfield
 
@@ -273,23 +268,19 @@ def count_qr_matrices(n):
     Burnside's identity term, as the identity fixes every member: 1, 4,
     40, 768, 27648, 1900544 for n = 1..6.
     """
-    _check_count_range(n)
-    return fixed_qr((1,) * n)
+    return identity_term(n, fixed_qr)
 
 
-def fixed_qr(cycles):
-    """QR matrices fixed by a permutation of this cycle type.
+def fixed_qr(t):
+    """QR matrices fixed by a permutation of CycleType t.
 
     R is empty or a union of odd cycles other than a single fixed point.
     """
-    odd = sum(c % 2 for c in cycles)
-    fix = cycles.count(1)
-    return ((1 << odd) - fix) << pair_orbit_count(cycles)
+    return ((1 << t.odd) - t.fixed) << t.pairs
 
 
 def count_qr_classes(n):
     """Permutation-equivalence classes of n x n QR matrices."""
-    _check_count_range(n)
     return orbit_class_count(n, fixed_qr)
 
 

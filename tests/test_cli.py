@@ -814,6 +814,57 @@ class TestSymbolErrors:
         ]
 
 
+class TestDispatch:
+    """main parses by the subcommand's parser, as the full parse would."""
+
+    # (argv, stdin): every subcommand well formed, then usage errors, help,
+    # and argv that does not start with a subcommand
+    TABLE = [
+        (["check"], QR_TEXT),
+        (["witness"], QR_TEXT),
+        (["count", "--n", "4", "--kind", "skew", "--classes"], None),
+        (["freq", "--exact"], None),
+        (["symbol", "--kind", "cubic", "--num", "-2-3w", "--den", "4+3w"], None),
+        (["count"], None),
+        (["count", "--n", "x"], None),
+        (["count", "--n", "3", "--kind", "foo"], None),
+        (["count", "--n", "3", "--bogus"], None),
+        (["symbol", "--kind", "cubic", "--num", "--", "--den", "7"], None),
+        (["count", "-h"], None),
+        ([], None),
+        (["frobnicate"], None),
+        (["--threads", "4", "count", "--n", "3"], None),
+    ]
+
+    @staticmethod
+    def call(capsys, argv, stdin):
+        try:
+            return run_cli(capsys, argv, stdin)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            return exc.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv, stdin", TABLE)
+    def test_matches_full_parse(self, capsys, monkeypatch, argv, stdin):
+        from resmat import cli
+
+        direct = self.call(capsys, argv, stdin)
+        # the top-level parser reads every argv, its subparser action then
+        # hands the tokens after the command to the subcommand's parser
+        monkeypatch.setattr(cli, "_parse", lambda args: build_parser()[0].parse_args(args))
+        assert self.call(capsys, argv, stdin) == direct
+        # a success prints its result, a usage error its message
+        assert direct[1 if direct[0] == 0 else 2] != ""
+
+    def test_leftover_tokens(self, capsys):
+        code, out, err = self.call(capsys, ["count", "--n", "3", "--bogus"], None)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "usage: resmat [-h] {check,witness,count,freq,symbol} ...",
+            "resmat: error: unrecognized arguments: --bogus",
+        ]
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

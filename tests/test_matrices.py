@@ -1,7 +1,7 @@
 import itertools
 import random
 from collections import Counter
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +13,17 @@ from resmat.matrices import (
     SignMatrix,
     canonical_form,
     conjugate,
+    CycleType,
     count_skew_classes,
     count_symmetric_classes,
+    cycle_types,
     equivalence_classes,
+    fixed_skew,
+    fixed_symmetric,
+    identity_term,
     orbit_class_count,
 )
+from resmat.qr import count_qr_classes, fixed_qr
 
 
 def identity_perm(n):
@@ -303,6 +309,96 @@ class TestOrbitOracle:
         assert len(set(orbits)) < len(mats)  # some classes hold several
 
 
+# The per-partition Burnside sum, the oracle of the cycle-type walk: each
+# partition of n built on its own, its class size from a Counter of its parts
+# and its pair orbits from all pairs of its cycles.
+
+
+def _partitions(n, largest=None):
+    """Partitions of n as non-increasing tuples of parts."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _cycle_type_size(cycles):
+    """Number of permutations of sum(cycles) points with this cycle type."""
+    size = factorial(sum(cycles))
+    for length, mult in Counter(cycles).items():
+        size //= length**mult * factorial(mult)
+    return size
+
+
+def pair_orbit_count(cycles):
+    """Orbits on unordered pairs of a permutation with the given cycle type."""
+    return sum(c // 2 for c in cycles) + sum(
+        gcd(a, b) for a, b in itertools.combinations(cycles, 2)
+    )
+
+
+# fixed-point counts of a partition, as the comment block of matrices states
+# them and as qr states them for QR matrices
+PARTITION_FIXED = {
+    "symmetric": lambda cycles: 1 << pair_orbit_count(cycles),
+    "skew": lambda cycles: (
+        0 if any(c % 2 == 0 for c in cycles) else 1 << pair_orbit_count(cycles)
+    ),
+    "qr": lambda cycles: (
+        ((1 << sum(c % 2 for c in cycles)) - cycles.count(1)) << pair_orbit_count(cycles)
+    ),
+}
+WALK_COUNTERS = {
+    "symmetric": count_symmetric_classes,
+    "skew": count_skew_classes,
+    "qr": count_qr_classes,
+}
+
+
+def partition_type(cycles):
+    """The CycleType of a partition, from the oracle helpers."""
+    odd = sum(c % 2 for c in cycles)
+    return CycleType((
+        _cycle_type_size(cycles),
+        pair_orbit_count(cycles),
+        odd,
+        len(cycles) - odd,
+        cycles.count(1),
+    ))
+
+
+class TestCycleTypeWalk:
+    @pytest.mark.parametrize("n", range(1, COUNT_MAX_N + 1))
+    def test_counters_match_partition_sum(self, n):
+        for kind, fixed in PARTITION_FIXED.items():
+            total = sum(_cycle_type_size(c) * fixed(c) for c in _partitions(n))
+            assert total % factorial(n) == 0
+            assert WALK_COUNTERS[kind](n) == total // factorial(n), kind
+
+    @pytest.mark.parametrize("n", range(1, COUNT_MAX_N + 1))
+    def test_invariants_match_partitions(self, n):
+        # the walk yields the partitions' types in the oracle's order
+        assert list(cycle_types(n)) == [partition_type(c) for c in _partitions(n)]
+
+    def test_type_count_and_sizes(self):
+        # p(n), OEIS A000041, and the class sizes partition S_n
+        p = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297,
+             385, 490, 627]
+        for n in range(1, COUNT_MAX_N + 1):
+            types = list(cycle_types(n))
+            assert len(types) == p[n - 1]
+            assert sum(t.size for t in types) == factorial(n)
+
+    def test_identity_term(self):
+        for n in range(1, COUNT_MAX_N + 1):
+            identity = partition_type((1,) * n)
+            assert identity == list(cycle_types(n))[-1]
+            for fixed in (fixed_symmetric, fixed_skew, fixed_qr):
+                assert identity_term(n, fixed) == fixed(identity)
+
+
 # Symmetric classes are graphs (OEIS A000088), skew classes tournaments
 # (OEIS A000568); n = 1..10.
 GRAPHS = (1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168)
@@ -321,7 +417,7 @@ class TestClassCounts:
     def test_cycle_type_sizes_sum_to_n_factorial(self):
         # one class exactly when every permutation fixes one member
         for n in range(1, COUNT_MAX_N + 1):
-            assert orbit_class_count(n, lambda cycles: 1) == 1
+            assert orbit_class_count(n, lambda t: 1) == 1
 
     def test_matches_object_level_partition(self):
         symmetric = [m for m in sign_matrices(4) if m.is_symmetric()]

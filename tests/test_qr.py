@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import os
@@ -5,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from math import factorial, prod
 from pathlib import Path
 
@@ -21,13 +23,16 @@ from resmat.errors import (
 )
 from resmat.matrices import (
     COUNT_MAX_N,
+    CycleType,
     SignMatrix,
     conjugate,
     count_skew_classes,
     count_symmetric_classes,
+    cycle_types,
     equivalence_classes,
     fixed_skew,
     fixed_symmetric,
+    identity_term,
 )
 from resmat.qr import (
     ConfigGraph,
@@ -716,8 +721,13 @@ class TestJacobiMatrix:
 
 
 def cycle_type_representatives(n):
-    """One permutation of range(n) per cycle type, keyed by the sorted lengths."""
-    reps = {}
+    """One permutation of range(n) per cycle type, with its CycleType.
+
+    Every invariant is found by enumeration: the class size by counting the
+    permutations of the same cycle lengths, the pair orbits by following
+    each unordered pair around.
+    """
+    reps, sizes = {}, Counter()
     for sigma in itertools.permutations(range(n)):
         seen, lengths = set(), []
         for start in range(n):
@@ -728,8 +738,24 @@ def cycle_type_representatives(n):
                 length += 1
             if length:
                 lengths.append(length)
-        reps.setdefault(tuple(sorted(lengths, reverse=True)), sigma)
-    return reps
+        key = tuple(sorted(lengths, reverse=True))
+        reps.setdefault(key, sigma)
+        sizes[key] += 1
+    types = []
+    for key, sigma in reps.items():
+        seen, pairs = set(), 0
+        for pair in itertools.combinations(range(n), 2):
+            orbit = frozenset(pair)
+            if orbit in seen:
+                continue
+            pairs += 1
+            while orbit not in seen:
+                seen.add(orbit)
+                orbit = frozenset(sigma[i] for i in orbit)
+        odd = sum(c % 2 for c in key)
+        t = CycleType((sizes[key], pairs, odd, len(key) - odd, key.count(1)))
+        types.append((sigma, t))
+    return types
 
 
 def is_skew(mat):
@@ -753,11 +779,14 @@ class TestCounts:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_fixed_counts_match_brute_force(self, n):
         mats = list(sign_matrices(n))
-        for cycles, sigma in cycle_type_representatives(n).items():
+        reps = cycle_type_representatives(n)
+        # the walk yields the invariants that enumeration finds
+        assert sorted(cycle_types(n)) == sorted(t for _, t in reps)
+        for sigma, t in reps:
             fixed = [m for m in mats if conjugate(m, sigma) == m]
-            assert fixed_qr(cycles) == sum(is_qr_matrix(m).verdict for m in fixed)
-            assert fixed_symmetric(cycles) == sum(m.is_symmetric() for m in fixed)
-            assert fixed_skew(cycles) == sum(is_skew(m) for m in fixed)
+            assert fixed_qr(t) == sum(is_qr_matrix(m).verdict for m in fixed)
+            assert fixed_symmetric(t) == sum(m.is_symmetric() for m in fixed)
+            assert fixed_skew(t) == sum(is_skew(m) for m in fixed)
 
     def test_matrix_count_matches_direct_filter(self, capsys):
         # the library counters and `resmat count`, members and classes,
@@ -794,6 +823,7 @@ class TestCounts:
         count_qr_classes,
         count_symmetric_classes,
         count_skew_classes,
+        functools.partial(identity_term, fixed=fixed_symmetric),
     )
 
     @pytest.mark.parametrize("n", range(-1, COUNT_MAX_N + 2))
@@ -807,8 +837,8 @@ class TestCounts:
         pairs = n * (n - 1) // 2
         assert count_qr_matrices(n) == ((1 << n) - n) << pairs
         # the member counts that `resmat count --kind symmetric|skew` prints
-        identity = (1,) * n
-        assert fixed_symmetric(identity) == fixed_skew(identity) == 1 << pairs
+        symmetric, skew = identity_term(n, fixed_symmetric), identity_term(n, fixed_skew)
+        assert symmetric == skew == 1 << pairs
         for counter in self.COUNTERS:
             assert counter(n) >= 1
 
