@@ -5,16 +5,19 @@ Exit codes: 0 success/member, 1 non-member or a closed standard output
 memory, or a witness search out of memory), 3 witness search exhausted
 at its --limit.  Without --limit a witness search has no bound: every
 admissible column is realized by some prime.  All output is deterministic.
-A call is parsed once, by the parser of the subcommand it names.
+A well-formed call is parsed off the table of subcommands and options
+(_exact_parse); argparse, built from the same table, is imported only for
+help, usage and errors, and then parses the call once, by the parser of the
+subcommand it names.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import lru_cache
 from math import inf
+from types import SimpleNamespace
 
 from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
@@ -251,63 +254,147 @@ def cmd_symbol(args):
     return 0
 
 
+# the options of the subcommands that read a matrix
+_MATRIX_OPTIONS = {
+    "--file": {"default": "-", "help": "matrix file, or - for stdin"},
+    "--m": {"type": int, "choices": (2, 3, 4), "default": 2},
+}
+
+# Each subcommand's help, the function that runs it, its options as
+# add_argument keywords, and the options of which exactly one is required
+# (freq's modes).  build_parser builds argparse's parsers from this table and
+# _exact_parse reads a well-formed call off it, so each option is declared once.
+_COMMANDS = {
+    "check": (
+        "decide residue-matrix membership",
+        cmd_check,
+        {**_MATRIX_OPTIONS, "--json": {"action": "store_true"}},
+        (),
+    ),
+    "witness": (
+        "construct prime witnesses",
+        cmd_witness,
+        {
+            **_MATRIX_OPTIONS,
+            "--limit": {
+                "type": int,
+                "help": "cap the search: prime limit for m=2, norm limit for m=3,4; "
+                "exit 3 when a column has no witness up to it (default: no cap)",
+            },
+        },
+        (),
+    ),
+    "count": (
+        "count matrices or equivalence classes",
+        cmd_count,
+        {
+            "--n": {"type": int, "required": True},
+            "--kind": {"choices": ("qr", "symmetric", "skew"), "default": "qr"},
+            "--classes": {"action": "store_true"},
+            "--json": {"action": "store_true"},
+        },
+        (),
+    ),
+    "freq": (
+        "splitting-configuration frequencies",
+        cmd_freq,
+        {
+            "--bound": {"type": int, "help": "triple product bound"},
+            "--exact": {"action": "store_true"},
+            "--json": {"action": "store_true"},
+        },
+        ("--bound", "--exact"),
+    ),
+    "symbol": (
+        "evaluate a residue symbol",
+        cmd_symbol,
+        {
+            "--kind": {
+                "choices": ("legendre", "jacobi", "cubic", "quartic"),
+                "required": True,
+            },
+            "--num": {"required": True},
+            "--den": {"required": True},
+            "--primary": {
+                "action": "store_true",
+                "help": "replace operands by their primary associates first",
+            },
+        },
+        (),
+    ),
+}
+
+
 @lru_cache(maxsize=1)
 def build_parser():
-    """The `resmat` parser and its subcommands' parsers by name.
+    """The `resmat` parser and its subcommands' parsers by name, from _COMMANDS.
 
-    Built on first use and shared by later calls.
+    Built on first use and shared by later calls: only help, usage and
+    errors need it, so a well-formed call imports no argparse.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="resmat",
         description="Quadratic, cubic, and quartic residue matrix toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="decide residue-matrix membership")
-    p.add_argument("--file", default="-", help="matrix file, or - for stdin")
-    p.add_argument("--m", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("witness", help="construct prime witnesses")
-    p.add_argument("--file", default="-", help="matrix file, or - for stdin")
-    p.add_argument("--m", type=int, choices=(2, 3, 4), default=2)
-    p.add_argument(
-        "--limit",
-        type=int,
-        default=None,
-        help="cap the search: prime limit for m=2, norm limit for m=3,4; "
-        "exit 3 when a column has no witness up to it (default: no cap)",
-    )
-    p.set_defaults(func=cmd_witness)
-
-    p = sub.add_parser("count", help="count matrices or equivalence classes")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=("qr", "symmetric", "skew"), default="qr")
-    p.add_argument("--classes", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("freq", help="splitting-configuration frequencies")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--bound", type=int, help="triple product bound")
-    group.add_argument("--exact", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_freq)
-
-    p = sub.add_parser("symbol", help="evaluate a residue symbol")
-    p.add_argument(
-        "--kind", choices=("legendre", "jacobi", "cubic", "quartic"), required=True
-    )
-    p.add_argument("--num", required=True)
-    p.add_argument("--den", required=True)
-    p.add_argument(
-        "--primary",
-        action="store_true",
-        help="replace operands by their primary associates first",
-    )
-    p.set_defaults(func=cmd_symbol)
+    for name, (help_text, func, options, one_of) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        group = p.add_mutually_exclusive_group(required=True) if one_of else None
+        for flag, keywords in options.items():
+            (group if flag in one_of else p).add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser, sub.choices
+
+
+def _exact_parse(argv):
+    """The attributes argparse would set for a well-formed argv, or None.
+
+    Well formed: argv[0] names a subcommand, and every later token is one of
+    its option strings, each at most once; a value option is followed by a
+    value that does not start with "-", which its type converts and its
+    choices hold; and every required option, and exactly one of freq's
+    modes, is given.  Any other argv (help, abbreviations, "=" forms, errors)
+    is argparse's to parse.
+    """
+    entry = _COMMANDS.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    _, func, options, one_of = entry
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError):  # what argparse reports as invalid
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    if one_of and sum(flag in given for flag in one_of) != 1:
+        return None
+    args = SimpleNamespace(func=func)
+    for flag, keywords in options.items():
+        if flag in given:
+            value = given[flag]
+        elif keywords.get("required"):
+            return None
+        elif keywords.get("action") == "store_true":
+            value = False
+        else:
+            value = keywords.get("default")
+        setattr(args, flag[2:], value)
+    return args
 
 
 def _join_value_flags(argv):
@@ -349,7 +436,9 @@ def _parse(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse(_join_value_flags(argv))
+    args = _exact_parse(argv)
+    if args is None:
+        args = _parse(_join_value_flags(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 from math import gcd, inf
 
@@ -12,8 +11,10 @@ from .matrices import SignMatrix, identity_term, orbit_class_count
 from .rational import class_primes, is_prime, jacobi, legendre, odd_prime_blocks
 from .records import Record, setfield
 
-# The sieve blocks a witness search keeps: the eleven odd_prime_blocks up to
-# 2**22, so a search below it sieves each number once.
+# The sieve blocks a witness search keeps for its whole run: the first eleven
+# odd_prime_blocks, the doubling ones up to 2**22 (2 MB of flags).  Every walk
+# reads the blocks from the first, so the first blocks sieved are these, each
+# is sieved once per search, and each block past 2**22 once per walk over it.
 CACHED_BLOCKS = 11
 
 
@@ -142,16 +143,26 @@ def _column_search(matrix, m, limit, find, build):
     chosen match the matrix, or None.  The class is m + 1 on the block
     form's skew block for even m (3 mod 4, resp. 5 mod 8, the norms of the
     primary primes = 3+2i mod 4) and 1 elsewhere.  Each walk reads the
-    odd_prime_blocks afresh through one sieve cache of CACHED_BLOCKS blocks,
-    and an exhausted column has tried every prime of its class.  build
-    recomputes every symbol of the witnesses in both directions, so the
-    check that it gives the matrix also guards each find's shortcuts.
+    odd_prime_blocks afresh: the CACHED_BLOCKS blocks up to 2**22 are sieved
+    once and kept for the search, each block past them is sieved for the walk
+    that reads it and dropped, and an exhausted column has tried every prime
+    of its class.  build recomputes every symbol of the witnesses in both
+    directions, so the check that it gives the matrix also guards each
+    find's shortcuts.
     """
     if matrix.m != m:
         raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
     bd = block_form(matrix)
     skew = set(bd.perm[: bd.s])
-    sieve = functools.lru_cache(maxsize=CACHED_BLOCKS)(rational.odd_prime_flags)
+    flags, kept = rational.odd_prime_flags, {}
+
+    def sieve(bound, lo):
+        block = kept.get(lo)
+        if block is None:
+            block = flags(bound, lo)
+            if len(kept) < CACHED_BLOCKS:
+                kept[lo] = block
+        return block
 
     def walk(residues, modulus):
         return class_primes(odd_prime_blocks(limit, sieve), residues, modulus)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import resmat
 from resmat import higher, matrices, qr
@@ -815,10 +818,13 @@ class TestSymbolErrors:
 
 
 class TestDispatch:
-    """main parses by the subcommand's parser, as the full parse would."""
+    """main reads a well-formed call off its option table, and argparse any
+    other, by the subcommand's parser; either gives what the full parse would."""
 
     # (argv, stdin): every subcommand well formed, then usage errors, help,
-    # and argv that does not start with a subcommand
+    # argv that does not start with a subcommand, and argv that argparse
+    # accepts but the table does not read: an "=" form, an abbreviation, a
+    # repeated option, a value that starts with "-"
     TABLE = [
         (["check"], QR_TEXT),
         (["witness"], QR_TEXT),
@@ -834,6 +840,19 @@ class TestDispatch:
         ([], None),
         (["frobnicate"], None),
         (["--threads", "4", "count", "--n", "3"], None),
+        (["count", "--n=4"], None),
+        (["count", "--cl", "--kind", "symmetric", "--n", "6"], None),
+        (["count", "--n", "4", "--n", "5"], None),
+        (["witness", "--m=3"], CUBIC_TEXT),
+        (["witness", "--limit", "-5"], QR_TEXT),
+        (["check", "--file", "-", "--m", "2", "--json"], QR_TEXT),
+        (["check", "--m", "2", "--json"], QR_TEXT),
+        (["freq", "--bound", "105", "--json"], None),
+        (["freq", "--exact", "--bound", "105"], None),
+        (["freq", "--exact", "--exact"], None),
+        (["symbol", "--kind", "quartic", "--num", "3+2i", "--den", "2+i", "--primary"], None),
+        (["symbol", "--kind", "legendre", "--num", "3"], None),
+        (["symbol", "-h"], None),
     ]
 
     @staticmethod
@@ -849,12 +868,29 @@ class TestDispatch:
         from resmat import cli
 
         direct = self.call(capsys, argv, stdin)
+        # with the table's path off, argparse parses every argv
+        monkeypatch.setattr(cli, "_exact_parse", lambda argv: None)
+        assert self.call(capsys, argv, stdin) == direct
         # the top-level parser reads every argv, its subparser action then
         # hands the tokens after the command to the subcommand's parser
         monkeypatch.setattr(cli, "_parse", lambda args: build_parser()[0].parse_args(args))
         assert self.call(capsys, argv, stdin) == direct
         # a success prints its result, a usage error its message
         assert direct[1 if direct[0] == 0 else 2] != ""
+
+    def test_table_reads_the_well_formed(self):
+        from resmat import cli
+
+        read = [argv for argv, _ in self.TABLE if cli._exact_parse(argv) is not None]
+        assert read == [
+            ["check"],
+            ["witness"],
+            ["count", "--n", "4", "--kind", "skew", "--classes"],
+            ["freq", "--exact"],
+            ["check", "--m", "2", "--json"],
+            ["freq", "--bound", "105", "--json"],
+            ["symbol", "--kind", "quartic", "--num", "3+2i", "--den", "2+i", "--primary"],
+        ]
 
     def test_leftover_tokens(self, capsys):
         code, out, err = self.call(capsys, ["count", "--n", "3", "--bogus"], None)
@@ -906,12 +942,18 @@ class TestParserReuse:
             captured = capsys.readouterr()
             return exc.code, captured.out, captured.err
 
-    def test_reused_parser_matches_a_fresh_one(self, capsys):
+    def test_reused_parser_matches_a_fresh_one(self, capsys, monkeypatch):
+        from resmat import cli
+
+        exact = [self.call(capsys, argv, stdin) for argv, stdin in self.CALLS]
+        # with the table's path off, argparse parses every call
+        monkeypatch.setattr(cli, "_exact_parse", lambda argv: None)
         fresh = []
         for argv, stdin in self.CALLS:
             build_parser.cache_clear()
             fresh.append(self.call(capsys, argv, stdin))
         assert [r[0] for r in fresh] == [0, 0, 0, 0, 2, 0, 3, 0, 0, 2]
+        assert exact == fresh
         build_parser.cache_clear()
         # forwards, then backwards, so each call of a pair also follows the other
         order = list(range(len(self.CALLS)))
@@ -919,3 +961,132 @@ class TestParserReuse:
             assert self.call(capsys, *self.CALLS[i]) == fresh[i], self.CALLS[i]
         info = build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 2 * len(self.CALLS) - 1)
+
+
+# Option values for the argv fuzz: ones that the option's type and choices
+# accept, and ones that they reject, that start with "-", or that are no
+# ASCII digits.
+_DASHED = ["-", "--", "-h", "--json", "-1"]
+_INTEGERS = ["0", "5", "21", "x", "", "3.0", "+3", "1_0", " 4", "\u0663", "\uff13", *_DASHED]
+_KINDS = ["qr", "symmetric", "skew", "legendre", "jacobi", "cubic", "quartic", "foo", ""]
+_OPERANDS = ["0", "3", "7", "3+2i", "-1+2i", "2+i", "4+3w", "-2-3w", "x", "", *_DASHED]
+_FILES = ["no-such-file", *_DASHED]
+# each subcommand's options: None for a flag, else (good values, all values)
+_FUZZ_OPTIONS = {
+    "check": {
+        "--file": (_FILES[:1], _FILES),
+        "--m": (["2", "3", "4"], _INTEGERS),
+        "--json": None,
+    },
+    "witness": {
+        "--file": (_FILES[:1], _FILES),
+        "--m": (["2", "3", "4"], _INTEGERS),
+        "--limit": (["1", "4", "100"], _INTEGERS),
+    },
+    "count": {
+        "--n": (["1", "4", "20"], _INTEGERS),
+        "--kind": (["qr", "symmetric", "skew"], _KINDS),
+        "--classes": None,
+        "--json": None,
+    },
+    "freq": {
+        "--bound": (["105", "1000"], _INTEGERS),
+        "--exact": None,
+        "--json": None,
+    },
+    "symbol": {
+        "--kind": (["legendre", "jacobi", "cubic", "quartic"], _KINDS),
+        "--num": (["2", "3+2i", "4+3w"], _OPERANDS),
+        "--den": (["7", "-1+2i", "4+3w"], _OPERANDS),
+        "--primary": None,
+    },
+}
+_FLAGS = sorted({flag for options in _FUZZ_OPTIONS.values() for flag in options})
+# every value of every option, as a stray token or after "="
+_VALUES = st.sampled_from(
+    sorted(
+        {
+            value
+            for options in _FUZZ_OPTIONS.values()
+            for pools in options.values()
+            if pools is not None
+            for value in pools[0] + pools[1]
+        }
+    )
+)
+_TOKENS = st.one_of(
+    st.sampled_from(_FLAGS),
+    # abbreviations, down to "-" and "--"
+    st.sampled_from(_FLAGS).flatmap(
+        lambda flag: st.integers(1, len(flag) - 1).map(lambda k: flag[:k])
+    ),
+    st.tuples(st.sampled_from(_FLAGS), _VALUES).map("=".join),
+    _VALUES,
+    st.sampled_from(["--", "-h", "--help", "--bogus", "-n"]),
+    st.text(alphabet="-=ab3 \u0663", max_size=4),
+)
+
+
+@st.composite
+def _argv(draw):
+    """A well-formed call, or one up to two edits away from it: a value the
+    option's type or choices reject, a repeated option, a stray token.  Or
+    an argv that names no subcommand."""
+    command = draw(st.sampled_from([*_FUZZ_OPTIONS, *_FUZZ_OPTIONS, "frobnicate", "-h"]))
+    options = _FUZZ_OPTIONS.get(command, {})
+    groups = [
+        [flag] if values is None else [flag, draw(st.sampled_from(values[0]))]
+        for flag, values in options.items()
+        if draw(st.sampled_from([False, True, True, True]))
+    ]
+    groups = draw(st.permutations(groups))
+    strays = []
+    edits = st.sampled_from(["value", "value", "repeat", "stray"])
+    for edit in draw(st.lists(edits, max_size=2)):
+        if edit == "stray" or not groups:
+            strays.append(draw(_TOKENS))
+            continue
+        i = draw(st.integers(0, len(groups) - 1))
+        flag = groups[i][0]
+        if edit == "value" and options[flag] is not None:
+            groups[i] = [flag, draw(st.sampled_from(options[flag][1]))]
+        else:
+            groups.insert(draw(st.integers(0, len(groups))), groups[i])
+    argv = [command, *sum(groups, [])]
+    for token in strays:
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+class TestArgvFuzz:
+    @staticmethod
+    def run(call):
+        """call() with QR_TEXT on stdin, and its output; SystemExit is a return."""
+        out, err = io.StringIO(), io.StringIO()
+        old = sys.stdin
+        sys.stdin = io.StringIO(QR_TEXT)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    result = call()
+                except SystemExit as exc:
+                    result = SystemExit(exc.code)
+        finally:
+            sys.stdin = old
+        return result, out.getvalue(), err.getvalue()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_argv())
+    def test_table_agrees_with_argparse(self, argv):
+        from resmat import cli
+
+        exact = cli._exact_parse(argv)
+        if exact is not None:
+            full, _, err = self.run(lambda: cli._parse(cli._join_value_flags(argv)))
+            assert not isinstance(full, SystemExit), err
+            assert vars(exact) == vars(full)
+        # every argv ends in an exit code, never in a traceback
+        code, _, _ = self.run(lambda: main(argv))
+        if isinstance(code, SystemExit):  # argparse's, after help or a usage error
+            code = code.code
+        assert code in (0, 1, 2, 3)

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from math import factorial, prod
+from math import factorial, inf, prod
 from pathlib import Path
 
 import pytest
@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import resmat
-from resmat import cli, higher, qr
+from resmat import cli, higher, qr, rational
 from resmat.errors import (
     NotAResidueMatrixError,
     SearchExhaustedError,
@@ -50,7 +50,14 @@ from resmat.qr import (
     to_config_graph,
     witness_primes,
 )
-from resmat.rational import BLOCK, is_prime, legendre, odd_prime_flags, sieve_primes
+from resmat.rational import (
+    BLOCK,
+    is_prime,
+    legendre,
+    odd_prime_blocks,
+    odd_prime_flags,
+    sieve_primes,
+)
 
 
 def sign_matrices(n):
@@ -607,21 +614,20 @@ def _traced_peak(call):
 
 
 class TestBoundedPrimeSource:
-    # a search keeps at most qr.CACHED_BLOCKS sieve blocks, the eleven blocks
-    # up to 2**22, and re-sieves the blocks of a walk that passes them
+    # a search keeps the qr.CACHED_BLOCKS sieve blocks up to 2**22, 2 MB of
+    # flags, for its whole run, and sieves each block past them for the walk
+    # that reads it: no peak grows with the limit
 
     @pytest.mark.parametrize(
         "limit, bound",
         [
-            # the blocks up to 2**22 and three fixed blocks after them, 5 MB
-            pytest.param(10**7, 8 * 10**6, id="1e7"),
-            # the cache, 11 MB of fixed blocks, and 3 MB for the block being
-            # sieved before the cache evicts one, the sieve's temporaries and
-            # the walk (13.3 MB in all); a source that kept every block would
-            # hold one byte per odd number up to the limit, 20 MB
-            pytest.param(
-                4 * 10**7, qr.CACHED_BLOCKS * BLOCK // 2 + 3 * 10**6, id="4e7"
-            ),
+            # the kept blocks, 2 MB, and 3 MB for the block being read, the one
+            # being sieved, the sieve's temporaries and the walk (4.9 MB in
+            # all); an LRU cache of eleven blocks reached 13.3 MB at 4e7, and a
+            # source that kept every block would hold one byte per odd number
+            # up to the limit, 20 MB
+            pytest.param(10**7, 6 * 10**6, id="1e7"),
+            pytest.param(4 * 10**7, 6 * 10**6, id="4e7"),
         ],
     )
     def test_two_column_walks_hold_the_cached_blocks(self, limit, bound):
@@ -646,11 +652,33 @@ class TestBoundedPrimeSource:
 
     def test_n22_search_peak(self):
         # seed 18 needs a witness of 34002863, past 2**25: a source that kept
-        # every doubling block peaks at 44.8 MB here, the cache at 13.3 MB
+        # every doubling block peaks at 44.8 MB here, an LRU cache of eleven
+        # blocks at 13.3 MB, the kept blocks up to 2**22 at 3.9 MB
         matrix = _seeded_admissible(18, 22)
         primes, peak = _traced_peak(lambda: witness_primes(matrix, 4 * 10**9))
         assert max(primes) == 34002863
-        assert peak <= 20 * 10**6
+        assert peak <= 6 * 10**6
+
+    def test_blocks_up_to_2_22_sieved_once(self, monkeypatch):
+        # the 20x20 matrix of seed 1 (TestNoDefaultBound.test_cli_without_limit):
+        # columns 19 and 20 walk past 2**22, to 5047417 and 11324759; the
+        # blocks below are sieved once for all 20 walks, the block past 2**22
+        # that both walks read is sieved for each of them
+        calls = Counter()
+        original = rational.odd_prime_flags
+
+        def counted(bound, lo=1):
+            calls[lo, bound] += 1  # the sieve's own base primes have lo = 3
+            return original(bound, lo)
+
+        monkeypatch.setattr(rational, "odd_prime_flags", counted)
+        primes = witness_primes(_seeded_admissible(1, 20))
+        assert primes[-2:] == [5047417, 11324759]
+        # the (lo, bound) of the blocks up to the one that holds 11324759
+        blocks = list(itertools.islice(odd_prime_blocks(inf, lambda bound, lo: bound), 15))
+        assert blocks[qr.CACHED_BLOCKS - 1 :][:2] == [(2**21 + 1, 2**22), (2**22 + 1, 3 * 2**21)]
+        assert {key for key in calls if key[0] != 3} == set(blocks)
+        assert [calls[block] for block in blocks] == [1] * qr.CACHED_BLOCKS + [2, 1, 1, 1]
 
     def test_exhaust_past_the_cached_blocks(self):
         # seed 2 needs a witness of 9421661 at n = 18; its walk to the limit

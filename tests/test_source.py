@@ -12,7 +12,19 @@ PACKAGE_DIR = Path(resmat.__file__).parent
 
 # Standard modules that `import resmat.cli` must not load: each costs
 # milliseconds at every start and is needed by few or no invocations.
-LAZY_MODULES = ("dataclasses", "inspect", "fractions", "decimal", "json")
+LAZY_MODULES = (
+    "dataclasses", "inspect", "fractions", "decimal", "json", "argparse", "gettext"
+)
+
+# One well-formed argv of each subcommand, with its standard input: main
+# parses these off its table of options, with no argparse.
+WELL_FORMED = (
+    (["check", "--m", "3", "--json"], "0 w\nw 0\n"),
+    (["witness", "--m", "2", "--limit", "100"], "0 -1 1\n1 0 -1\n1 -1 0\n"),
+    (["count", "--n", "4", "--kind", "skew", "--classes", "--json"], ""),
+    (["freq", "--bound", "1000", "--json"], ""),
+    (["symbol", "--kind", "cubic", "--num", "2", "--den", "4+3w", "--primary"], ""),
+)
 
 
 def _source_nodes():
@@ -70,9 +82,28 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_well_formed_calls_load_no_argparse():
+    # each call in a fresh interpreter, so no earlier call has loaded it
+    code = (
+        "import io, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import resmat.cli\n"
+        "sys.stdin = io.StringIO(sys.argv[2])\n"
+        "code = resmat.cli.main(sys.argv[3:])\n"
+        "print(code, [m for m in ('argparse', 'gettext') if m in sys.modules])\n"
+    )
+    for argv, stdin in WELL_FORMED:
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(PACKAGE_DIR.parent), stdin, *argv],
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert proc.stdout.splitlines()[-1] == "0 []", argv
+
+
 def test_cli_import_builds_no_parser():
-    # main builds the parser on its first call, so importing the CLI and
-    # filling its tables (the benchmark's setup) does not pay for it
+    # a well-formed call is parsed off the option table, so importing the CLI,
+    # filling its tables (the benchmark's setup) and such a call build no
+    # parser; a malformed one builds it, once
     code = (
         "import sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -82,12 +113,19 @@ def test_cli_import_builds_no_parser():
         "print(resmat.cli.build_parser.cache_info().currsize)\n"
         "resmat.cli.main(['count', '--n', '3'])\n"
         "print(resmat.cli.build_parser.cache_info().currsize)\n"
+        "for _ in range(2):\n"
+        "    try:\n"
+        "        resmat.cli.main(['count', '--n', 'x'])\n"
+        "    except SystemExit as exc:\n"
+        "        print(exc.code)\n"
+        "print(resmat.cli.build_parser.cache_info().misses)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-I", "-c", code, str(PACKAGE_DIR.parent)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert proc.stdout.split() == ["0", "40", "1"]
+    assert proc.stdout.split() == ["0", "40", "0", "2", "2", "1"]
+    assert proc.stderr.count("error: argument --n: invalid int value: 'x'") == 2
 
 
 def test_cold_start_enumerates_nothing():
