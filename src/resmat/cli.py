@@ -7,8 +7,7 @@ at its --limit.  Without --limit a witness search has no bound: every
 admissible column is realized by some prime.  All output is deterministic.
 A well-formed call is parsed off the table of subcommands and options
 (_exact_parse); argparse, built from the same table, is imported only for
-help, usage and errors, and then parses the call once, by the parser of the
-subcommand it names.
+help, usage and errors.
 """
 
 from __future__ import annotations
@@ -327,10 +326,11 @@ _COMMANDS = {
 
 @lru_cache(maxsize=1)
 def build_parser():
-    """The `resmat` parser and its subcommands' parsers by name, from _COMMANDS.
+    """The `resmat` parser, with one subcommand parser per entry of _COMMANDS.
 
     Built on first use and shared by later calls: only help, usage and
-    errors need it, so a well-formed call imports no argparse.
+    errors need it, so a well-formed call, a lone "-" value included, is
+    read off the same table by _exact_parse and imports no argparse.
     """
     import argparse
 
@@ -345,7 +345,7 @@ def build_parser():
         for flag, keywords in options.items():
             (group if flag in one_of else p).add_argument(flag, **keywords)
         p.set_defaults(func=func)
-    return parser, sub.choices
+    return parser
 
 
 def _exact_parse(argv):
@@ -353,9 +353,9 @@ def _exact_parse(argv):
 
     Well formed: argv[0] names a subcommand, and every later token is one of
     its option strings, each at most once; a value option is followed by a
-    value that does not start with "-", which its type converts and its
-    choices hold; and every required option, and exactly one of freq's
-    modes, is given.  Any other argv (help, abbreviations, "=" forms, errors)
+    value that is "-" itself or does not start with "-", which its type
+    converts and its choices hold; and every required option, and exactly
+    one of freq's modes, is given.  Any other argv (help, abbreviations, "=" forms, errors)
     is argparse's to parse.
     """
     entry = _COMMANDS.get(argv[0]) if argv else None
@@ -372,7 +372,7 @@ def _exact_parse(argv):
             given[flag] = True
             continue
         text = next(tokens, None)
-        if text is None or text.startswith("-"):
+        if text is None or (text.startswith("-") and text != "-"):
             return None
         try:
             value = keywords.get("type", str)(text)
@@ -383,7 +383,7 @@ def _exact_parse(argv):
         given[flag] = value
     if one_of and sum(flag in given for flag in one_of) != 1:
         return None
-    args = SimpleNamespace(func=func)
+    args = SimpleNamespace(command=argv[0], func=func)
     for flag, keywords in options.items():
         if flag in given:
             value = given[flag]
@@ -414,31 +414,12 @@ def _join_value_flags(argv):
     return out
 
 
-def _parse(argv):
-    """Parse argv once, by the parser of the subcommand that argv[0] names.
-
-    The top-level parser would classify every token before handing them all
-    to that parser, which parses them again; what is left over gets the
-    top-level parser's usage and message, as it would there.  An argv that
-    does not start with a subcommand (none, -h, an unknown command or an
-    option before it) goes to the top-level parser.
-    """
-    parser, commands = build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
-
-
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = _exact_parse(argv)
     if args is None:
-        args = _parse(_join_value_flags(argv))
+        args = build_parser().parse_args(_join_value_flags(argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout raises here, not at exit

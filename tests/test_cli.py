@@ -818,13 +818,13 @@ class TestSymbolErrors:
 
 
 class TestDispatch:
-    """main reads a well-formed call off its option table, and argparse any
-    other, by the subcommand's parser; either gives what the full parse would."""
+    """main reads a well-formed call off its option table, and hands any other
+    to argparse's top-level parser; the table gives what argparse would."""
 
     # (argv, stdin): every subcommand well formed, then usage errors, help,
     # argv that does not start with a subcommand, and argv that argparse
     # accepts but the table does not read: an "=" form, an abbreviation, a
-    # repeated option, a value that starts with "-"
+    # repeated option, a value other than "-" that starts with "-"
     TABLE = [
         (["check"], QR_TEXT),
         (["witness"], QR_TEXT),
@@ -871,10 +871,6 @@ class TestDispatch:
         # with the table's path off, argparse parses every argv
         monkeypatch.setattr(cli, "_exact_parse", lambda argv: None)
         assert self.call(capsys, argv, stdin) == direct
-        # the top-level parser reads every argv, its subparser action then
-        # hands the tokens after the command to the subcommand's parser
-        monkeypatch.setattr(cli, "_parse", lambda args: build_parser()[0].parse_args(args))
-        assert self.call(capsys, argv, stdin) == direct
         # a success prints its result, a usage error its message
         assert direct[1 if direct[0] == 0 else 2] != ""
 
@@ -887,6 +883,7 @@ class TestDispatch:
             ["witness"],
             ["count", "--n", "4", "--kind", "skew", "--classes"],
             ["freq", "--exact"],
+            ["check", "--file", "-", "--m", "2", "--json"],
             ["check", "--m", "2", "--json"],
             ["freq", "--bound", "105", "--json"],
             ["symbol", "--kind", "quartic", "--num", "3+2i", "--den", "2+i", "--primary"],
@@ -1082,7 +1079,8 @@ class TestArgvFuzz:
 
         exact = cli._exact_parse(argv)
         if exact is not None:
-            full, _, err = self.run(lambda: cli._parse(cli._join_value_flags(argv)))
+            parse = cli.build_parser().parse_args
+            full, _, err = self.run(lambda: parse(cli._join_value_flags(argv)))
             assert not isinstance(full, SystemExit), err
             assert vars(exact) == vars(full)
         # every argv ends in an exit code, never in a traceback

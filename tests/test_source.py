@@ -20,6 +20,7 @@ LAZY_MODULES = (
 # parses these off its table of options, with no argparse.
 WELL_FORMED = (
     (["check", "--m", "3", "--json"], "0 w\nw 0\n"),
+    (["check", "--file", "-", "--json"], "0 -1\n-1 0\n"),
     (["witness", "--m", "2", "--limit", "100"], "0 -1 1\n1 0 -1\n1 -1 0\n"),
     (["count", "--n", "4", "--kind", "skew", "--classes", "--json"], ""),
     (["freq", "--bound", "1000", "--json"], ""),
