@@ -20,7 +20,6 @@ from types import SimpleNamespace
 
 from . import frequencies, higher, matrices, qr
 from .cyclotomic import (
-    _check_coprime,
     _primary_associate,
     _residue_symbol,
     is_primary,
@@ -233,7 +232,6 @@ def cmd_symbol(args):
     num = parse_element(args.num, ring_kind)
     den = parse_element(args.den, ring_kind)
     ring = type(den)  # EisensteinInt resp. GaussianInt
-    m = ring.M
     if args.primary:
         den = primary_generator(den)  # a primary prime, or it raises
         # a prime numerator is proved once; a ramified one is kept as given
@@ -245,11 +243,12 @@ def cmd_symbol(args):
             num = _primary_associate(num)
     elif not is_prime_element(den) or not is_primary(den):
         raise ValueError(f"denominator must be a primary prime element: {den}")
-    # den is a primary prime of num's ring: only coprimality is left to check
-    _check_coprime(num, den)
+    # den is a primary prime of num's ring; the symbol raises if den divides
+    # num, so it is taken before anything is printed
+    e = _residue_symbol(num, den)
     if args.primary:
         print(f"primary: {num} {den}")
-    print(_SYMBOL_TOKENS[m][_residue_symbol(num, den, m)])
+    print(_SYMBOL_TOKENS[ring.M][e])
     return 0
 
 

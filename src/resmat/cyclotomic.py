@@ -159,31 +159,18 @@ def parse_element(text, kind):
     return ring(a, b)
 
 
-def _round_div(num, den):
-    # nearest integer to num/den, den > 0
-    return (2 * num + den) // (2 * den)
+def mod(x, q):
+    """The remainder of x by q in Z[i] / Z[w], with norm(remainder) < norm(q).
 
-
-def divmod_exact(x, q):
-    """Euclidean division in Z[i] / Z[w] by coordinate rounding.
-
-    Returns (quotient, remainder) with norm(remainder) < norm(q).
+    The quotient is x * conj(q) / norm(q) with each coordinate rounded to the
+    nearest integer.
     """
     n = q.norm()
     if n == 0:
         raise ZeroDivisionError("division by zero element")
     t = x * q.conj()
-    quo = type(x)(_round_div(t.a, n), _round_div(t.b, n))
-    rem = x - quo * q
-    return quo, rem
-
-
-def mod(x, q):
-    return divmod_exact(x, q)[1]
-
-
-def divides(q, x):
-    return mod(x, q).is_zero()
+    quo = type(x)((2 * t.a + n) // (2 * n), (2 * t.b + n) // (2 * n))
+    return x - quo * q
 
 
 def gcd_element(x, y):
@@ -277,20 +264,15 @@ def _check_symbol_operands(x, q):
         raise ValueError("operands must live in the same ring")
     if not is_prime_element(q) or not is_primary(q):
         raise ValueError(f"modulus must be a primary prime element, got {q}")
-    _check_coprime(x, q)
 
 
-def _check_coprime(x, q):
-    if divides(q, x):
-        raise ValueError(f"{x} is divisible by {q}; symbol undefined")
+def _residue_symbol(x, q):
+    """The exponent e in range(m) with x^((Nq-1)/m) = zeta**e mod q, m = q.M.
 
-
-def _residue_symbol(x, q, m):
-    """The exponent e in range(m) with x^((Nq-1)/m) = zeta**e mod q, unchecked.
-
-    q must be a primary prime of x's ring that does not divide x: the public
-    symbols check that first, and the witness search and the symbol matrices
-    build or validate only such moduli.
+    q must be a primary prime of x's ring: the public symbols check that
+    first, and the witness search and the symbol matrices build or validate
+    only such moduli.  As q is prime and (Nq-1)/m >= 1, the power is zero
+    exactly when q divides x, and then this raises ValueError.
 
     Each residue class has one remainder mod q (y + k*q rounds to the
     quotient of y plus k), so the power is matched by equality.  zeta**e is
@@ -299,11 +281,13 @@ def _residue_symbol(x, q, m):
     (no element of Z[w] has norm 5), so for every primary prime except -2 in
     Z[w] (norm 4), where mod(w**2, -2) is 1+w.
     """
-    n = q.norm()
+    n, m = q.norm(), q.M
     r = _pow_mod(x, (n - 1) // m, q)
     for e, zeta in enumerate(q.units()[:m]):
         if r == (zeta if n >= 5 else mod(zeta, q)):
             return e
+    if r.is_zero():
+        raise ValueError(f"{x} is divisible by {q}; symbol undefined")
     raise RuntimeError(
         f"power of {x} mod {q} is not a root of unity; invalid input slipped through"
     )
@@ -314,7 +298,7 @@ def cubic_symbol(x, q):
     if not isinstance(q, EisensteinInt):
         raise ValueError("cubic symbol needs an Eisenstein modulus")
     _check_symbol_operands(x, q)
-    return _residue_symbol(x, q, 3)
+    return _residue_symbol(x, q)
 
 
 def quartic_symbol(x, q):
@@ -322,7 +306,7 @@ def quartic_symbol(x, q):
     if not isinstance(q, GaussianInt):
         raise ValueError("quartic symbol needs a Gaussian modulus")
     _check_symbol_operands(x, q)
-    return _residue_symbol(x, q, 4)
+    return _residue_symbol(x, q)
 
 
 def check_quartic_reciprocity(p, q):

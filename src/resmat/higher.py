@@ -39,8 +39,7 @@ def _symbol_matrix(primes, ring):
     # distinct primary primes validated once: no modulus divides another
     # prime, so the entries skip the public symbols' checks
     primes = _validate_primary_primes(primes, ring)
-    m = ring.M
-    return SignMatrix.from_symbol(m, primes, lambda p, q: _residue_symbol(p, q, m))
+    return SignMatrix.from_symbol(ring.M, primes, _residue_symbol)
 
 
 def cubic_matrix(primes):
@@ -122,8 +121,8 @@ def _witness(matrix, ring, build, norm_limit):
         for p in walk((c,), 2 * m):
             for cand in _primes_over(ring, p):
                 if cand not in chosen and all(
-                    _residue_symbol(cand, qj, m) == row[j]
-                    and _residue_symbol(qj, cand, m) == matrix.entries[j][k]
+                    _residue_symbol(cand, qj) == row[j]
+                    and _residue_symbol(qj, cand) == matrix.entries[j][k]
                     for j, qj in enumerate(chosen)
                 ):
                     return cand

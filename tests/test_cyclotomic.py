@@ -11,8 +11,6 @@ from resmat.cyclotomic import (
     _residue_symbol,
     check_quartic_reciprocity,
     cubic_symbol,
-    divides,
-    divmod_exact,
     is_primary,
     is_prime_element,
     mod,
@@ -23,6 +21,10 @@ from resmat.cyclotomic import (
 )
 from resmat.errors import RamifiedPrimeError
 from resmat.rational import MR_LIMIT, is_prime, sieve_primes
+
+
+def divides(q, x):
+    return mod(x, q).is_zero()
 
 
 def primary_primes(ring, norm_limit):
@@ -89,9 +91,18 @@ class TestArithmetic:
             q = ring(c, d)
             if q.is_zero():
                 continue
-            quo, rem = divmod_exact(ring(a, b), q)
-            assert quo * q + rem == ring(a, b)
-            assert rem.norm() < q.norm()
+            x, n = ring(a, b), q.norm()
+            rem = mod(x, q)
+            assert rem.norm() < n
+            # q divides x - rem: (x - rem) * conj(q) is n times the quotient
+            t = (x - rem) * q.conj()
+            assert t.a % n == 0 and t.b % n == 0
+
+    @given(st.integers(-100, 100), st.integers(-100, 100))
+    def test_mod_by_zero(self, a, b):
+        for ring in (GaussianInt, EisensteinInt):
+            with pytest.raises(ZeroDivisionError, match="^division by zero element$"):
+                mod(ring(a, b), ring(0, 0))
 
 
 def small_elements(ring, norm_limit):
@@ -404,7 +415,7 @@ class TestSymbolCore:
                 unique=True,
             )
         )
-        assert _residue_symbol(x, q, m) == symbol(x, q)
+        assert _residue_symbol(x, q) == symbol(x, q)
 
     @settings(max_examples=300)
     @given(st.sampled_from(RINGS), st.data())
@@ -417,14 +428,14 @@ class TestSymbolCore:
         )
         if x.is_zero() or divides(q, x):
             return
-        assert _residue_symbol(x, q, m) == divides_symbol_oracle(x, q, m)
+        assert _residue_symbol(x, q) == divides_symbol_oracle(x, q, m)
 
     def test_equality_match_at_norm_four(self):
         # q = -2 in Z[w] is the one primary prime whose roots of unity are not
         # all their own remainders; every unit and class mod -2 is covered
         q = E(-2, 0)
         for x in (E(1, 0), E(0, 1), E(-1, -1), E(1, 1), E(-1, 0), E(0, -1)):
-            assert _residue_symbol(x, q, 3) == divides_symbol_oracle(x, q, 3)
+            assert _residue_symbol(x, q) == divides_symbol_oracle(x, q, 3)
         assert cubic_symbol(E(1, 1), q) == 2
         assert cubic_symbol(E(0, 1), q) == 1
 
@@ -467,6 +478,35 @@ class TestSymbolCore:
         with pytest.raises(ValueError) as got:
             symbol(x, q)
         assert str(got.value) == message
+
+    @staticmethod
+    def assert_undefined(symbol, x, q):
+        # the core and the public symbol both read q | x off the zero power
+        for f in (_residue_symbol, symbol):
+            with pytest.raises(ValueError) as got:
+                f(x, q)
+            assert str(got.value) == f"{x} is divisible by {q}; symbol undefined"
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(RINGS), st.data())
+    def test_multiples_of_the_modulus_are_undefined(self, case, data):
+        ring, symbol, _ = case
+        q = data.draw(st.sampled_from(SYMBOL_POOLS[ring]))
+        y = data.draw(
+            st.just(ring(0, 0))
+            | st.builds(ring, st.integers(-30, 30), st.integers(-30, 30))
+        )
+        self.assert_undefined(symbol, q * y, q)
+
+    @pytest.mark.parametrize(
+        "symbol, q", [(cubic_symbol, E(-2, 0)), (quartic_symbol, G(-3, 0))]
+    )
+    def test_multiples_of_the_inert_moduli_are_undefined(self, symbol, q):
+        # the smallest inert primary primes: norm 4 in Z[w], norm 9 in Z[i]
+        ys = small_elements(type(q), 50)
+        assert type(q)(0, 0) in ys
+        for y in ys:
+            self.assert_undefined(symbol, q * y, q)
 
 
 class TestReciprocity:
