@@ -1,10 +1,12 @@
 """Command-line front end: check, witness, count, freq, symbol subcommands.
 
 Exit codes: 0 success/member, 1 non-member or a closed standard output
-(`resmat ... | head`), 2 parse or usage error (or a --bound too large for
-memory, or a witness search out of memory), 3 witness search exhausted
-at its --limit.  Without --limit a witness search has no bound: every
-admissible column is realized by some prime.  All output is deterministic.
+(`resmat ... | head`, or fd 1 closed), 2 parse or usage error (or a --bound
+too large for memory, or a witness search out of memory), 3 witness search
+exhausted at its --limit.  main writes every "error: ..." line, and drops it
+when fd 2 is closed or not writable.  Without --limit a witness search has
+no bound: every admissible column is realized by some prime.  All output is
+deterministic.
 A well-formed call is parsed off the table of subcommands and options
 (_exact_parse); argparse, built from the same table, is imported only for
 help, usage and errors.
@@ -139,10 +141,8 @@ def cmd_witness(args):
     except (MemoryError, OverflowError):
         # the search keeps a bounded set of sieve blocks, but memory can run out
         if args.limit is None:
-            print("error: the witness search ran out of memory", file=sys.stderr)
-        else:
-            print(f"error: --limit {args.limit} is too large to search", file=sys.stderr)
-        return 2
+            raise ValueError("the witness search ran out of memory") from None
+        raise ValueError(f"--limit {args.limit} is too large to search") from None
     for p in primes:
         print(p)
     # each witness search has recomputed the primes' matrix, every symbol in
@@ -183,8 +183,7 @@ def cmd_freq(args):
             report = frequencies.empirical_scan(args.bound)
         except (MemoryError, OverflowError):
             # the scan's bitsets grow linearly with the bound
-            print(f"error: --bound {args.bound} is too large to scan", file=sys.stderr)
-            return 2
+            raise ValueError(f"--bound {args.bound} is too large to scan") from None
     freqs = report.frequencies
     if args.json:
         payload = {
@@ -421,6 +420,8 @@ def main(argv=None):
         args = build_parser().parse_args(_join_value_flags(argv))
     try:
         code = args.func(args)
+        if sys.stdout is None:  # started with fd 1 closed: the output is lost
+            return 1
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:
@@ -430,15 +431,18 @@ def main(argv=None):
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
     except NotAResidueMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error, code = exc, 1
     except SearchExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    # parse, dimension and ramified-prime errors are ValueErrors too
+        error, code = exc, 3
+    # parse, dimension, ramified-prime and out-of-memory errors are ValueErrors too
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        error, code = exc, 2
+    if sys.stderr is not None:  # fd 2 closed: print(file=None) would use stdout
+        try:
+            print(f"error: {error}", file=sys.stderr)
+        except OSError:  # fd 2 not writable: the line is lost
+            pass
+    return code
 
 
 if __name__ == "__main__":

@@ -55,12 +55,6 @@ class _QuadraticInt(Record):
     def is_unit(self):
         return self.norm() == 1
 
-    def units(self):
-        return self.UNITS
-
-    def one(self):
-        return self.UNITS[0]
-
     def __str__(self):
         a, b = self.a, self.b
         if b == 0:
@@ -234,7 +228,7 @@ def _primary_associate(x):
     and `resmat symbol --primary` check that first, and the witness search
     builds only such elements.
     """
-    for u in x.units():
+    for u in x.UNITS:
         y = x * u
         if is_primary(y):
             return y
@@ -245,11 +239,11 @@ def same_ideal(x, y):
     """Whether x and y generate the same ideal (are unit multiples)."""
     if type(x) is not type(y):
         return False
-    return any(x * u == y for u in x.units())
+    return any(x * u == y for u in x.UNITS)
 
 
 def _pow_mod(x, e, q):
-    result = mod(x.one(), q)
+    result = mod(x.UNITS[0], q)
     base = mod(x, q)
     while e:
         if e & 1:
@@ -283,7 +277,7 @@ def _residue_symbol(x, q):
     """
     n, m = q.norm(), q.M
     r = _pow_mod(x, (n - 1) // m, q)
-    for e, zeta in enumerate(q.units()[:m]):
+    for e, zeta in enumerate(q.UNITS[:m]):
         if r == (zeta if n >= 5 else mod(zeta, q)):
             return e
     if r.is_zero():

@@ -59,20 +59,16 @@ class FrequencyReport(Record):
 _PAIRS = ((0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1))
 
 
-def _code_of_signs(signs):
-    # 6-bit code of a 3x3 sign matrix: bit t is set when entry _PAIRS[t] is -1
-    code = 0
-    for t, (i, j) in enumerate(_PAIRS):
-        if signs[i][j] == -1:
-            code |= 1 << t
-    return code
+def _code_of_entries(entries):
+    # 6-bit code of a 3x3 m=2 matrix: bit t is the exponent at _PAIRS[t]
+    return sum(entries[i][j] << t for t, (i, j) in enumerate(_PAIRS))
 
 
 def _matrix_of_code(code):
-    rows = [[0] * 3 for _ in range(3)]
+    rows = [[None] * 3 for _ in range(3)]
     for t, (i, j) in enumerate(_PAIRS):
-        rows[i][j] = -1 if (code >> t) & 1 else 1
-    return SignMatrix.from_signs(rows)
+        rows[i][j] = code >> t & 1
+    return SignMatrix(2, rows)
 
 
 # The codes of the 40 QR 3x3 sign matrices, grouped by configuration class in
@@ -107,7 +103,7 @@ def class_representatives():
 def configuration_class(p, q, r):
     """The configuration class of a triple of distinct odd primes."""
     mat = qr_matrix_from_primes((p, q, r))  # raises ValueError on bad input
-    class_id = _CLASS_OF_CODE[_code_of_signs(mat.signs())]
+    class_id = _CLASS_OF_CODE[_code_of_entries(mat.entries)]
     return ConfigClass(class_id, _REPRESENTATIVES[class_id - 1])
 
 

@@ -2,7 +2,7 @@
 
 Entries are exponents of a fixed primitive m-th root of unity (never floats),
 with ``None`` as the distinguished zero diagonal entry.  The entry order used
-for canonical forms is ZERO < zeta^0 < zeta^1 < ... so canonical forms are
+for canonical forms is None < zeta^0 < zeta^1 < ... so canonical forms are
 bit-reproducible.
 """
 
@@ -15,9 +15,6 @@ from operator import itemgetter
 
 from .errors import UnsupportedDimensionError
 from .records import Record, setfield
-
-# The zero diagonal entry.  Off-diagonal entries are ints in [0, m).
-ZERO = None
 
 CANONICAL_DIMENSION_LIMIT = 8
 # Largest n the census counters accept; their cost grows with the number of

@@ -261,6 +261,39 @@ class TestClosedStdout:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, "")
 
+    def test_closed_fd_1_exit_1(self):
+        # Python sets sys.stdout to None: the output is lost, as for a pipe
+        # whose reader has gone
+        env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "resmat.cli", "count", "--n", "3"],
+            stderr=subprocess.PIPE, text=True, timeout=60, env=env,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+
+class TestClosedStderr:
+    # the error line is written if it can be; the exit code stands either way
+    ARGV = ["count", "--n", "0"]
+
+    def run(self, **streams):
+        env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "resmat.cli", *self.ARGV],
+            stdout=subprocess.PIPE, text=True, timeout=60, env=env, **streams,
+        )
+
+    def test_closed_fd_2_exit_2(self):
+        # sys.stderr is None, and print(file=None) would write to stdout
+        proc = self.run(preexec_fn=lambda: os.close(2))
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    def test_read_only_fd_2_exit_2(self):
+        with open(os.devnull, "rb") as read_only:
+            proc = self.run(stderr=read_only)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
 
 class TestWitness:
     def test_quadratic(self, capsys):

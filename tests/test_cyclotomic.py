@@ -63,7 +63,7 @@ def field_symbol_oracle(x, q, m):
 def divides_symbol_oracle(x, q, m):
     """The symbol core as it matched before: the e with q | r - zeta**e."""
     r = _pow_mod(x, (q.norm() - 1) // m, q)
-    hits = [e for e, z in enumerate(q.units()[:m]) if divides(q, r - z)]
+    hits = [e for e, z in enumerate(q.UNITS[:m]) if divides(q, r - z)]
     assert len(hits) == 1
     return hits[0]
 
@@ -253,7 +253,7 @@ class TestInertPrimesBeyondSquareRootOfBound:
     def test_unit_multiples_are_prime(self, ring, symbol, m):
         for p in inert_above_bound(ring, True):
             assert p < MR_LIMIT <= p * p
-            for u in ring(1, 0).units():
+            for u in ring(1, 0).UNITS:
                 assert is_prime_element(ring(p, 0) * u)
 
     @pytest.mark.parametrize("ring, symbol, m", RINGS)
@@ -321,7 +321,7 @@ class TestPrimaryGenerator:
                         continue
                     if not is_prime_element(x):
                         continue
-                    hits = [u for u in x.units() if is_primary(x * u)]
+                    hits = [u for u in x.UNITS if is_primary(x * u)]
                     assert len(hits) == 1
                     seen += 1
             assert seen > 0
@@ -444,7 +444,7 @@ class TestSymbolCore:
         primes = primary_primes(ring, 2000)
         assert len(primes) > 100
         for q in primes:
-            roots = q.units()[:m]
+            roots = q.UNITS[:m]
             assert all(mod(z, q) == z for z in roots) == (q.norm() >= 5)
         assert [q for q in primes if q.norm() < 5] == ([E(-2, 0)] if ring is E else [])
 

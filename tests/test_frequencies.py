@@ -14,7 +14,7 @@ from resmat.frequencies import (
     FrequencyReport,
     _CLASS_CODES,
     _CLASS_OF_CODE,
-    _code_of_signs,
+    _code_of_entries,
     _legendre_pattern,
     _matrix_of_code,
     _periodic_bitset,
@@ -24,7 +24,7 @@ from resmat.frequencies import (
     empirical_scan,
     exact_frequencies,
 )
-from resmat.matrices import canonical_form
+from resmat.matrices import SignMatrix, canonical_form
 from resmat.qr import is_qr_matrix, qr_matrix_from_primes
 from resmat.rational import legendre, sieve_primes
 
@@ -80,7 +80,7 @@ class TestClassTable:
         assert [c.representative for c in class_representatives()] == reps
         # each group starts with the code of its canonical form
         for codes, rep in zip(_CLASS_CODES, reps):
-            assert codes[0] == _code_of_signs(rep.signs())
+            assert codes[0] == _code_of_entries(rep.entries)
 
     def test_ten_representatives(self):
         reps = class_representatives()
@@ -131,7 +131,7 @@ def _reciprocity_code(p3, q3, r3, qp, rp, rq):
         rows[j][i] = b
         both3 = classes[i] and classes[j]
         rows[i][j] = -b if both3 else b
-    return _code_of_signs(rows)
+    return _code_of_entries(SignMatrix.from_signs(rows).entries)
 
 
 class TestTripleCode:
@@ -143,7 +143,7 @@ class TestTripleCode:
         for p, q, r in _triples(20000):
             bits = [x % 4 == 3 for x in (p, q, r)]
             bits += [legendre(a, b) == -1 for a, b in ((q, p), (r, p), (r, q))]
-            code = _code_of_signs(qr_matrix_from_primes((p, q, r)).signs())
+            code = _code_of_entries(qr_matrix_from_primes((p, q, r)).entries)
             assert _triple_code(*map(int, bits)) == code, (p, q, r)
 
 

@@ -930,6 +930,17 @@ class TestConfigGraph:
                 assert is_qr_matrix(m).verdict
                 assert to_config_graph(m) in graphs
 
+    @pytest.mark.parametrize(
+        "mat",
+        [SignMatrix(3, ((None, 1), (1, None))), SignMatrix(4, ((None, 0), (2, None)))],
+    )
+    def test_only_m2_members_have_a_graph(self, mat):
+        # decide accepts these m=3/4 members, but a configuration graph speaks
+        # +-1: reading their exponents as signs would build a wrong graph
+        assert decide(mat).verdict
+        with pytest.raises(ValueError, match="only defined for m=2"):
+            to_config_graph(mat)
+
     def test_lone_red_must_be_first_vertex(self):
         with pytest.raises(ValueError):
             ConfigGraph(
