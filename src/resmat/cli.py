@@ -7,9 +7,9 @@ exhausted at its --limit.  main writes every "error: ..." line, and drops it
 when fd 2 is closed or not writable.  Without --limit a witness search has
 no bound: every admissible column is realized by some prime.  All output is
 deterministic.
-A well-formed call is parsed off the table of subcommands and options
-(_exact_parse); argparse, built from the same table, is imported only for
-help, usage and errors.
+A well-formed call is read off the table of subcommands (_exact_parse);
+argparse, built from it, is loaded only for help (to stdout), usage and
+errors (to stderr), each dropped when its stream is closed.
 """
 
 from __future__ import annotations
@@ -417,7 +417,11 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = _exact_parse(argv)
     if args is None:
-        args = build_parser().parse_args(_join_value_flags(argv))
+        # argparse falls back to the other stream for a closed one (None)
+        from contextlib import redirect_stderr, redirect_stdout
+        with open(os.devnull, "w") as null, redirect_stdout(sys.stdout or null):
+            with redirect_stderr(sys.stderr or null):
+                args = build_parser().parse_args(_join_value_flags(argv))
     try:
         code = args.func(args)
         if sys.stdout is None:  # started with fd 1 closed: the output is lost

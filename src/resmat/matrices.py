@@ -25,6 +25,12 @@ _SIGN_TO_EXP = {1: 0, -1: 1}
 _EXP_TO_SIGN = {0: 1, 1: -1}
 
 
+def _sign_exp(i, j, v):
+    if v not in (1, -1):
+        raise ValueError(f"off-diagonal entry ({i},{j}) must be +1 or -1, got {v!r}")
+    return _SIGN_TO_EXP[v]
+
+
 def _entry_key(e):
     return -1 if e is None else e
 
@@ -73,7 +79,7 @@ class SignMatrix(Record):
     def from_signs(cls, rows):
         """Build an m=2 matrix from rows of 0 / +1 / -1 values."""
         ent = tuple(
-            tuple(None if i == j else _SIGN_TO_EXP[v] for j, v in enumerate(row))
+            tuple(None if i == j else _sign_exp(i, j, v) for j, v in enumerate(row))
             for i, row in enumerate(rows)
         )
         return cls(2, ent)
@@ -97,31 +103,20 @@ class SignMatrix(Record):
         )
 
     def transpose(self):
-        n = self.n
-        return SignMatrix(
-            self.m, tuple(tuple(self.entries[j][i] for j in range(n)) for i in range(n))
-        )
+        ent = self.entries
+        return SignMatrix.from_symbol(self.m, range(self.n), lambda i, j: ent[j][i])
 
     def negate(self):
         """Entrywise multiplication by -1 off the diagonal (m even)."""
-        if self.m % 2 != 0:
+        m, ent = self.m, self.entries
+        if m % 2 != 0:
             raise ValueError("-1 is not an m-th root of unity for odd m")
-        half = self.m // 2
-        return SignMatrix(
-            self.m,
-            tuple(
-                tuple(None if e is None else (e + half) % self.m for e in row)
-                for row in self.entries
-            ),
+        return SignMatrix.from_symbol(
+            m, range(self.n), lambda i, j: (ent[i][j] + m // 2) % m
         )
 
     def is_symmetric(self):
-        n = self.n
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return self == self.transpose()
 
     def _key(self):
         return tuple(_entry_key(e) for row in self.entries for e in row)

@@ -94,7 +94,7 @@ def split_size(diag):
     if not off:
         return 1
     s = len(off)
-    if s <= n and all(d == n + 1 - 2 * s for d in off):
+    if all(d == n + 1 - 2 * s for d in off):
         return s
     return None
 
@@ -360,11 +360,10 @@ def to_config_graph(matrix):
 
 def from_config_graph(graph):
     """Decode a configuration graph back to its QR matrix."""
-    n = graph.n
-    rows = [[0] * n for _ in range(n)]
-    for (i, j) in graph.directed:
-        rows[i][j] = 1
-        rows[j][i] = -1
+    sign = {}
     for (i, j), v in graph.labels:
-        rows[i][j] = rows[j][i] = v
-    return SignMatrix.from_signs(rows)
+        sign[i, j] = sign[j, i] = v
+    for (i, j) in graph.directed:
+        sign[i, j], sign[j, i] = 1, -1
+    exponent = _sign_exponent(lambda i, j: sign[i, j])
+    return SignMatrix.from_symbol(2, range(graph.n), exponent)

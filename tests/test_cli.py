@@ -295,6 +295,29 @@ class TestClosedStderr:
         assert (proc.returncode, proc.stdout) == (2, "")
 
 
+class TestArgparseClosedStream:
+    # argparse sends help to stdout and usage to stderr; with one of them
+    # closed it would write to the other, which must stay empty
+    @staticmethod
+    def run(argv, fd):
+        env = dict(os.environ, PYTHONPATH=str(Path(resmat.__file__).parents[1]))
+        return subprocess.run(
+            [sys.executable, "-m", "resmat.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+            preexec_fn=lambda: os.close(fd),
+        )
+
+    @pytest.mark.parametrize("argv", [["count"], ["count", "--n", "x"], ["bogus"]])
+    def test_usage_error_with_fd_2_closed(self, argv):
+        proc = self.run(argv, 2)
+        assert (proc.returncode, proc.stdout) == (2, "")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["count", "-h"]])
+    def test_help_with_fd_1_closed(self, argv):
+        proc = self.run(argv, 1)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestWitness:
     def test_quadratic(self, capsys):
         code, out, _ = run_cli(capsys, ["witness"], stdin=QR_TEXT)

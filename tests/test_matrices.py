@@ -117,6 +117,14 @@ class TestConstruction:
         rows = ((None, 0), (1, None))
         assert SignMatrix(2, rows).entries is rows
 
+    @pytest.mark.parametrize("value", [2, 0, -2, "1", None, [1]])
+    def test_from_signs_names_a_bad_entry(self, value):
+        with pytest.raises(ValueError) as exc:
+            SignMatrix.from_signs([[0, 1], [value, 0]])
+        assert str(exc.value) == (
+            f"off-diagonal entry (1,0) must be +1 or -1, got {value!r}"
+        )
+
 
 class TestConjugate:
     def test_identity(self):
@@ -151,6 +159,53 @@ class TestConjugate:
                     assert conjugate(mat, compose(sigma, tau)) == conjugate(
                         conjugate(mat, tau), sigma
                     )
+
+
+class TestTransposeNegate:
+    # entrywise against the definitions, over every matrix of each size
+    CASES = [(m, n) for m in (2, 3, 4) for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("m, n", CASES)
+    def test_transpose(self, m, n):
+        for mat in sign_matrices(n, m):
+            t = mat.transpose()
+            assert (t.m, t.n) == (m, n)
+            assert all(
+                t.entries[i][j] == mat.entries[j][i] for i in range(n) for j in range(n)
+            )
+            assert t.transpose() == mat
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m, n in CASES if m % 2 == 0])
+    def test_negate(self, m, n):
+        for mat in sign_matrices(n, m):
+            neg = mat.negate()
+            assert (neg.m, neg.n) == (m, n)
+            for i in range(n):
+                assert neg.entries[i][i] is None
+                for j in range(n):
+                    if i != j:
+                        assert neg.entries[i][j] == (mat.entries[i][j] + m // 2) % m
+            assert (neg != mat) == (n > 1) and neg.negate() == mat
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_negate_odd_m_raises(self, n):
+        with pytest.raises(ValueError) as exc:
+            next(sign_matrices(n, 3)).negate()
+        assert str(exc.value) == "-1 is not an m-th root of unity for odd m"
+
+    @pytest.mark.parametrize("m, n", CASES)
+    def test_is_symmetric(self, m, n):
+        count = 0
+        for mat in sign_matrices(n, m):
+            want = all(
+                mat.entries[i][j] == mat.entries[j][i]
+                for i in range(n)
+                for j in range(n)
+            )
+            assert mat.is_symmetric() is want
+            count += want
+        # one free exponent per unordered pair
+        assert count == m ** (n * (n - 1) // 2)
 
 
 class TestCanonicalForm:
