@@ -46,9 +46,6 @@ class _QuadraticInt(Record):
     def __sub__(self, other):
         return self.__class__(self.a - other.a, self.b - other.b)
 
-    def __neg__(self):
-        return self.__class__(-self.a, -self.b)
-
     def is_zero(self):
         return self.a == 0 and self.b == 0
 

@@ -15,7 +15,7 @@ from .cyclotomic import (
     is_prime_element,
 )
 from .matrices import SignMatrix
-from .qr import _column_search, decide
+from .qr import _check_m, _column_search, decide
 
 
 def _validate_primary_primes(primes, ring):
@@ -48,10 +48,9 @@ def cubic_matrix(primes):
 
 
 def is_cubic_residue_matrix(matrix):
-    """The verdict of qr.decide for an m=3 matrix: membership iff symmetric."""
-    if matrix.m != 3:
-        raise ValueError("expected a cubic (m=3) sign matrix")
-    return decide(matrix).verdict
+    """The qr.decide decision for an m=3 matrix: a member iff symmetric."""
+    _check_m(matrix, 3)
+    return decide(matrix)
 
 
 def quartic_matrix(primes):
@@ -61,8 +60,7 @@ def quartic_matrix(primes):
 
 def is_quartic_residue_matrix(matrix):
     """The qr.decide decision for an m=4 matrix: diag is diag(M conj(M))."""
-    if matrix.m != 4:
-        raise ValueError("expected a quartic (m=4) sign matrix")
+    _check_m(matrix, 4)
     return decide(matrix)
 
 

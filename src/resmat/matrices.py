@@ -21,14 +21,16 @@ CANONICAL_DIMENSION_LIMIT = 8
 # partitions of n, not with n!.
 COUNT_MAX_N = 20
 
-_SIGN_TO_EXP = {1: 0, -1: 1}
-_EXP_TO_SIGN = {0: 1, 1: -1}
-
 
 def _sign_exp(i, j, v):
-    if v not in (1, -1):
+    # the stored entry of the sign v at (i, j): the exponent of -1, None for 0
+    if i == j:
+        if v != 0:
+            raise ValueError(f"diagonal entry ({i},{j}) must be 0, got {v!r}")
+        return None
+    if not isinstance(v, int) or v not in (1, -1):
         raise ValueError(f"off-diagonal entry ({i},{j}) must be +1 or -1, got {v!r}")
-    return _SIGN_TO_EXP[v]
+    return (1 - v) // 2
 
 
 def _entry_key(e):
@@ -79,7 +81,7 @@ class SignMatrix(Record):
     def from_signs(cls, rows):
         """Build an m=2 matrix from rows of 0 / +1 / -1 values."""
         ent = tuple(
-            tuple(None if i == j else _sign_exp(i, j, v) for j, v in enumerate(row))
+            tuple(_sign_exp(i, j, v) for j, v in enumerate(row))
             for i, row in enumerate(rows)
         )
         return cls(2, ent)
@@ -98,8 +100,7 @@ class SignMatrix(Record):
         if self.m != 2:
             raise ValueError("signs() is only defined for m=2")
         return tuple(
-            tuple(0 if e is None else _EXP_TO_SIGN[e] for e in row)
-            for row in self.entries
+            tuple(0 if e is None else 1 - 2 * e for e in row) for row in self.entries
         )
 
     def transpose(self):

@@ -117,10 +117,14 @@ def decide(matrix):
     return Decision(True, s, pairwise_ok, diag, tuple(skew + rest))
 
 
+def _check_m(matrix, m):
+    if matrix.m != m:
+        raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
+
+
 def is_qr_matrix(matrix):
     """The decision for an m=2 matrix: diag is the diagonal of M^2."""
-    if matrix.m != 2:
-        raise ValueError("QR membership is defined for m=2 sign matrices")
+    _check_m(matrix, 2)
     return decide(matrix)
 
 
@@ -150,8 +154,7 @@ def _column_search(matrix, m, limit, find, build):
     directions, so the check that it gives the matrix also guards each
     find's shortcuts.
     """
-    if matrix.m != m:
-        raise ValueError(f"expected an m={m} sign matrix, got m={matrix.m}")
+    _check_m(matrix, m)
     bd = block_form(matrix)
     skew = set(bd.perm[: bd.s])
     flags, kept = rational.odd_prime_flags, {}
@@ -323,20 +326,12 @@ class ConfigGraph(Record):
             raise ValueError("red set must be a nonempty subset of the vertices")
         if len(self.red) == 1 and self.red != {0}:
             raise ValueError("a lone red vertex must be vertex 0")
-        want_directed = {
-            (i, j) for i in self.red for j in self.red if i < j
-        }
-        got = {(min(i, j), max(i, j)) for (i, j) in self.directed}
-        if got != want_directed or len(self.directed) != len(want_directed):
+        pairs = list(itertools.combinations(range(self.n), 2))
+        red_red = [(i, j) for i, j in pairs if i in self.red and j in self.red]
+        if sorted((min(e), max(e)) for e in self.directed) != red_red:
             raise ValueError("exactly one directed edge per red-red pair required")
-        want_labeled = {
-            (i, j)
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-            if (i, j) not in want_directed
-        }
-        label_pairs = [pair for pair, _ in self.labels]
-        if set(label_pairs) != want_labeled or len(label_pairs) != len(want_labeled):
+        other = [(i, j) for i, j in pairs if not (i in self.red and j in self.red)]
+        if sorted(pair for pair, _ in self.labels) != other:
             raise ValueError("exactly one labeled edge per non-red-red pair required")
         if any(v not in (1, -1) for _, v in self.labels):
             raise ValueError("edge labels must be +1 or -1")
@@ -347,14 +342,12 @@ def to_config_graph(matrix):
     bd = block_form(matrix)
     red = frozenset(bd.perm[: bd.s])
     signs = matrix.signs()
-    directed = set()
-    labels = []
-    for i in range(matrix.n):
-        for j in range(i + 1, matrix.n):
-            if i in red and j in red:
-                directed.add((i, j) if signs[i][j] == 1 else (j, i))
-            else:
-                labels.append(((i, j), signs[i][j]))
+    directed, labels = set(), []
+    for i, j in itertools.combinations(range(matrix.n), 2):
+        if i in red and j in red:
+            directed.add((i, j) if signs[i][j] == 1 else (j, i))
+        else:
+            labels.append(((i, j), signs[i][j]))
     return ConfigGraph(matrix.n, red, frozenset(directed), tuple(labels))
 
 

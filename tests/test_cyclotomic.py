@@ -303,6 +303,9 @@ class TestPrimaryGenerator:
         x = GaussianInt(2, 1)
         assert same_ideal(x, primary_generator(x))
 
+    def test_same_ideal_across_rings(self):
+        assert same_ideal(GaussianInt(2, 1), EisensteinInt(2, 1)) is False
+
     def test_ramified(self):
         with pytest.raises(RamifiedPrimeError):
             primary_generator(GaussianInt(1, 1))

@@ -171,6 +171,9 @@ class TestExactFrequencies:
     def test_deterministic(self):
         assert exact_frequencies() == exact_frequencies()
 
+    def test_empty_report(self):
+        assert FrequencyReport((0, 0), 0).frequencies == (Fraction(0), Fraction(0))
+
 
 class TestEmpiricalScan:
     def test_bound_too_small(self):

@@ -117,13 +117,39 @@ class TestConstruction:
         rows = ((None, 0), (1, None))
         assert SignMatrix(2, rows).entries is rows
 
-    @pytest.mark.parametrize("value", [2, 0, -2, "1", None, [1]])
+    @pytest.mark.parametrize("value", [2, 0, -2, "1", None, [1], 1.0, -1.0])
     def test_from_signs_names_a_bad_entry(self, value):
         with pytest.raises(ValueError) as exc:
             SignMatrix.from_signs([[0, 1], [value, 0]])
         assert str(exc.value) == (
             f"off-diagonal entry (1,0) must be +1 or -1, got {value!r}"
         )
+
+    @pytest.mark.parametrize("value", [5, None, 1, -1])
+    def test_from_signs_reads_the_diagonal(self, value):
+        with pytest.raises(ValueError) as exc:
+            SignMatrix.from_signs([[0, 1], [-1, value]])
+        assert str(exc.value) == f"diagonal entry (1,1) must be 0, got {value!r}"
+
+    def test_signs_roundtrip_exhaustive(self):
+        for n in range(1, 5):
+            for mat in sign_matrices(n):
+                signs = mat.signs()
+                assert SignMatrix.from_signs(signs) == mat
+                assert signs == tuple(
+                    tuple(0 if e is None else (-1) ** e for e in row)
+                    for row in mat.entries
+                )
+
+    def test_empty_matrix(self):
+        with pytest.raises(ValueError) as exc:
+            SignMatrix(2, ())
+        assert str(exc.value) == "matrix must have dimension >= 1"
+
+    def test_ragged_row(self):
+        with pytest.raises(ValueError) as exc:
+            SignMatrix(2, ((None, 0), (1,)))
+        assert str(exc.value) == "row 1 has length 1, expected 2"
 
 
 class TestConjugate:

@@ -136,6 +136,25 @@ class TestMembership:
         with pytest.raises(ValueError):
             is_qr_matrix(SignMatrix(3, ((None, 0), (0, None))))
 
+    @pytest.mark.parametrize(
+        "view, own_m, m",
+        [
+            (view, own_m, m)
+            for view, own_m in (
+                (is_qr_matrix, 2),
+                (higher.is_cubic_residue_matrix, 3),
+                (higher.is_quartic_residue_matrix, 4),
+            )
+            for m in (2, 3, 4)
+            if m != own_m
+        ],
+    )
+    def test_views_name_the_modulus(self, view, own_m, m):
+        # the witness frame's message, for every view and every other m
+        with pytest.raises(ValueError) as exc:
+            view(SignMatrix(m, ((None, 1), (1, None))))
+        assert str(exc.value) == f"expected an m={own_m} sign matrix, got m={m}"
+
     def test_split_size_fully_symmetric(self):
         assert split_size((2, 2, 2)) == 1
 
@@ -223,7 +242,8 @@ class TestPairDiagonal:
             assert (dec.pairwise_ok, dec.diag) == (ok, diag)
             assert dec.verdict == (ok and split_size(diag) is not None)
         for mat in random_exponent_matrices(6, 3):
-            assert higher.is_cubic_residue_matrix(mat) == _pair_diagonal(mat)[0]
+            dec = higher.is_cubic_residue_matrix(mat)
+            assert dec.verdict == _pair_diagonal(mat)[0]
 
 
 class TestBlockForm:
@@ -279,10 +299,9 @@ class TestBlockForm:
 class TestDecide:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_views_agree_with_it(self, m):
-        """Every matrix with n <= 4 for m=2, n <= 3 for m=3, 4: is_qr_matrix
-        and is_quartic_residue_matrix return the decision, is_cubic_residue_matrix
-        its verdict, block_form the decision of a member; s and perm are None
-        exactly for a non-member."""
+        """Every matrix with n <= 4 for m=2, n <= 3 for m=3, 4: each view
+        returns the decision, block_form the decision of a member; s and perm
+        are None exactly for a non-member."""
         max_n = 4 if m == 2 else 3
         view = {
             2: is_qr_matrix,
@@ -293,7 +312,7 @@ class TestDecide:
             for mat in exponent_matrices(m, n):
                 dec = decide(mat)
                 assert type(dec) is resmat.Decision
-                assert view(mat) == (dec.verdict if m == 3 else dec), mat
+                assert view(mat) == dec, mat
                 assert (dec.s is None) == (dec.perm is None) == (not dec.verdict)
                 if dec.verdict:
                     assert block_form(mat) == dec
@@ -954,3 +973,24 @@ class TestConfigGraph:
     def test_labels_must_be_signs(self):
         with pytest.raises(ValueError):
             ConfigGraph(2, frozenset({0}), frozenset(), (((0, 1), 0),))
+
+    @pytest.mark.parametrize("red", [frozenset(), frozenset({0, 2})])
+    def test_red_set_must_be_nonempty_vertices(self, red):
+        with pytest.raises(ValueError) as exc:
+            ConfigGraph(2, red, frozenset(), (((0, 1), 1),))
+        assert str(exc.value) == "red set must be a nonempty subset of the vertices"
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            (((0, 1), 1),),
+            (((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1), -1)),
+        ],
+    )
+    def test_every_other_pair_labeled_once(self, labels):
+        # a pair left out, resp. a pair labeled twice
+        with pytest.raises(ValueError) as exc:
+            ConfigGraph(3, frozenset({0}), frozenset(), labels)
+        assert str(exc.value) == (
+            "exactly one labeled edge per non-red-red pair required"
+        )
