@@ -218,6 +218,8 @@ def _integer_option(flag, text):
 def cmd_symbol(args):
     kind = args.kind
     if kind in ("legendre", "jacobi"):
+        if args.primary:
+            raise ValueError("--primary applies to cubic and quartic symbols only")
         a, n = _integer_option("--num", args.num), _integer_option("--den", args.den)
         if kind == "legendre":
             if n < 3 or n % 2 == 0 or not is_prime(n):

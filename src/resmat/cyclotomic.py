@@ -19,8 +19,8 @@ from .records import Record, setfield
 class _QuadraticInt(Record):
     """a + b*zeta in Z[zeta]: what does not depend on the ring.
 
-    Each ring adds no slot, keeps its own __mul__, conj and norm (the hot
-    path of _pow_mod, so no generic multiply) and sets these constants:
+    Each ring adds no slot and no method; the product, conjugate and norm
+    read zeta**2 = TRACE*zeta - 1 off the ring's constants:
 
     - LETTER: the printed name of zeta, i resp. w.
     - M: the order of zeta (4 resp. 3), the m of the ring's residue symbol.
@@ -46,6 +46,20 @@ class _QuadraticInt(Record):
     def __sub__(self, other):
         return self.__class__(self.a - other.a, self.b - other.b)
 
+    def __mul__(self, other):
+        # (a + b*zeta)(c + d*zeta) = ac - bd + (ad + bc + TRACE*bd)*zeta
+        a, b, c, d = self.a, self.b, other.a, other.b
+        bd = b * d
+        return self.__class__(a * c - bd, a * d + b * c + self.TRACE * bd)
+
+    def conj(self):
+        # conj(zeta) = TRACE - zeta
+        return self.__class__(self.a + self.TRACE * self.b, -self.b)
+
+    def norm(self):
+        a, b = self.a, self.b
+        return a * a + self.TRACE * a * b + b * b
+
     def is_zero(self):
         return self.a == 0 and self.b == 0
 
@@ -69,18 +83,6 @@ class GaussianInt(_QuadraticInt):
     LETTER, M, TRACE, RAMIFIED = "i", 4, 0, 2
     PRIMARY = ((1, 0), (3, 2))  # 1 and 3+2i mod 4
 
-    def __mul__(self, other):
-        return GaussianInt(
-            self.a * other.a - self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def conj(self):
-        return GaussianInt(self.a, -self.b)
-
-    def norm(self):
-        return self.a * self.a + self.b * self.b
-
 
 class EisensteinInt(_QuadraticInt):
     """a + b*w in Z[w], with w**2 + w + 1 = 0."""
@@ -88,18 +90,6 @@ class EisensteinInt(_QuadraticInt):
     __slots__ = ()
     LETTER, M, TRACE, RAMIFIED = "w", 3, -1, 3
     PRIMARY = ((1, 0),)  # 1 mod 3
-
-    def __mul__(self, other):
-        # (a + bw)(c + dw) = ac - bd + (ad + bc - bd) w
-        a, b, c, d = self.a, self.b, other.a, other.b
-        return EisensteinInt(a * c - b * d, a * d + b * c - b * d)
-
-    def conj(self):
-        # conj(w) = w**2 = -1 - w
-        return EisensteinInt(self.a - self.b, -self.b)
-
-    def norm(self):
-        return self.a * self.a - self.a * self.b + self.b * self.b
 
 
 # The units, built once: records are immutable, so every element shares them.
@@ -240,7 +230,7 @@ def same_ideal(x, y):
 
 
 def _pow_mod(x, e, q):
-    result = mod(x.UNITS[0], q)
+    result = x.UNITS[0]  # 1 is its own remainder mod every primary prime
     base = mod(x, q)
     while e:
         if e & 1:

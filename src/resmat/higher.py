@@ -18,27 +18,19 @@ from .matrices import SignMatrix
 from .qr import _check_m, _column_search, decide
 
 
-def _validate_primary_primes(primes, ring):
-    primes = list(primes)
+def _symbol_matrix(primes, ring):
+    # distinct primary primes validated once: no modulus divides another
+    # prime, so the entries skip the public symbols' checks.  A primary
+    # generator is unique per prime ideal, so equal ideals are equal elements.
+    primes, seen = list(primes), set()
     for p in primes:
         if not isinstance(p, ring):
             raise ValueError(f"expected {ring.__name__} elements, got {p!r}")
         if not is_prime_element(p) or not is_primary(p):
             raise ValueError(f"not a primary prime element: {p}")
-    # a primary generator is unique per prime ideal, so equal ideals are
-    # equal elements
-    seen = set()
-    for p in primes:
         if p in seen:
             raise ValueError(f"prime ideals must be distinct: {p}, {p}")
         seen.add(p)
-    return primes
-
-
-def _symbol_matrix(primes, ring):
-    # distinct primary primes validated once: no modulus divides another
-    # prime, so the entries skip the public symbols' checks
-    primes = _validate_primary_primes(primes, ring)
     return SignMatrix.from_symbol(ring.M, primes, _residue_symbol)
 
 
@@ -96,15 +88,17 @@ def _prime_over(ring, p, r):
 def _primes_over(ring, p):
     # A prime p = 1 (mod M) splits, and zeta goes to a root of
     # x**2 - TRACE*x + 1 mod p, a primitive M-th root of unity: z**((p-1)/M)
-    # for the first z = 2, 3, ... that is a root; the other is TRACE - r.
+    # for the first z = 2, 3, ... that is a root; the other is TRACE - r,
+    # conj(zeta) mod (p, zeta - r).  So the ideal over the other root is the
+    # conjugate ideal, and conjugation keeps the primary classes.
     t = ring.TRACE
     e, z = (p - 1) // ring.M, 2
     r = pow(z, e, p)
     while (r * r - t * r + 1) % p:
         z += 1
         r = pow(z, e, p)
-    for r in sorted((r, (t - r) % p), reverse=True):
-        yield _prime_over(ring, p, r)
+    gen = _prime_over(ring, p, max(r, (t - r) % p))
+    return gen, gen.conj()
 
 
 def _witness(matrix, ring, build, norm_limit):

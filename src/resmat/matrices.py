@@ -28,7 +28,7 @@ def _sign_exp(i, j, v):
         if v != 0:
             raise ValueError(f"diagonal entry ({i},{j}) must be 0, got {v!r}")
         return None
-    if not isinstance(v, int) or v not in (1, -1):
+    if type(v) is not int or v not in (1, -1):
         raise ValueError(f"off-diagonal entry ({i},{j}) must be +1 or -1, got {v!r}")
     return (1 - v) // 2
 
@@ -55,8 +55,8 @@ class SignMatrix(Record):
             entries = tuple(map(tuple, entries))
         setfield(self, "m", m)
         setfield(self, "entries", entries)
-        if self.m not in (2, 3, 4):
-            raise ValueError(f"modulus must be 2, 3 or 4, got {self.m}")
+        if type(m) is not int or m not in (2, 3, 4):
+            raise ValueError(f"modulus must be 2, 3 or 4, got {m}")
         n = len(self.entries)
         if n < 1:
             raise ValueError("matrix must have dimension >= 1")
@@ -67,10 +67,10 @@ class SignMatrix(Record):
                 if i == j:
                     if e is not None:
                         raise ValueError(f"diagonal entry ({i},{j}) must be zero")
-                elif not isinstance(e, int) or not 0 <= e < self.m:
+                elif type(e) is not int or not 0 <= e < m:
                     raise ValueError(
                         f"off-diagonal entry ({i},{j}) must be an exponent in "
-                        f"[0,{self.m}), got {e!r}"
+                        f"[0,{m}), got {e!r}"
                     )
 
     @property

@@ -810,6 +810,15 @@ class TestSymbolErrors:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "kind, num, den", [("legendre", "3", "7"), ("jacobi", "2", "15"), ("jacobi", "x", "15")]
+    )
+    def test_primary_is_for_cubic_and_quartic_only(self, capsys, kind, num, den):
+        argv = ["symbol", "--kind", kind, "--num", num, "--den", den, "--primary"]
+        code, out, err = run_cli(capsys, argv)
+        message = "--primary applies to cubic and quartic symbols only"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "kind, num, den", [("cubic", "-2-3w", "4+3w"), ("quartic", "3+2i", "-1+2i")]
     )
     def test_denominator_proved_once(self, capsys, monkeypatch, kind, num, den):

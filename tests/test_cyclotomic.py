@@ -85,6 +85,19 @@ class TestArithmetic:
             x, y = ring(a, b), ring(c, d)
             assert (x * y).norm() == x.norm() * y.norm()
 
+    @given(*[st.integers(-10**12, 10**12)] * 4)
+    def test_arithmetic_matches_textbook_coordinates(self, a, b, c, d):
+        # Z[i]: i**2 = -1, conj(i) = -i
+        x, y = GaussianInt(a, b), GaussianInt(c, d)
+        assert x * y == GaussianInt(a * c - b * d, a * d + b * c)
+        assert x.conj() == GaussianInt(a, -b)
+        assert x.norm() == a * a + b * b
+        # Z[w]: w**2 = -1 - w, conj(w) = w**2
+        x, y = EisensteinInt(a, b), EisensteinInt(c, d)
+        assert x * y == EisensteinInt(a * c - b * d, a * d + b * c - b * d)
+        assert x.conj() == EisensteinInt(a - b, -b)
+        assert x.norm() == a * a - a * b + b * b
+
     @given(st.integers(-100, 100), st.integers(-100, 100), st.integers(-10, 10), st.integers(-10, 10))
     def test_euclidean_division(self, a, b, c, d):
         for ring in (GaussianInt, EisensteinInt):
@@ -450,6 +463,14 @@ class TestSymbolCore:
             roots = q.UNITS[:m]
             assert all(mod(z, q) == z for z in roots) == (q.norm() >= 5)
         assert [q for q in primes if q.norm() < 5] == ([E(-2, 0)] if ring is E else [])
+
+    @pytest.mark.parametrize("ring", [G, E])
+    def test_one_is_its_own_remainder(self, ring):
+        # _pow_mod starts its power from 1 unreduced, -2 in Z[w] included
+        primes = primary_primes(ring, 2000)
+        assert len(primes) > 100 and (ring is G or E(-2, 0) in primes)
+        for q in primes:
+            assert mod(q.UNITS[0], q) == q.UNITS[0]
 
     def test_pools_hold_both_kinds(self):
         for ring, pool in SYMBOL_POOLS.items():

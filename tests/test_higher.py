@@ -410,6 +410,16 @@ class TestCandidates:
         got = list(_degree_one_primes(cyclotomic._RINGS[kind], norm_limit))
         assert got == list(_candidates_oracle(kind, norm_limit))
 
+    @pytest.mark.parametrize("ring, step", [(GaussianInt, 4), (EisensteinInt, 6)])
+    def test_second_prime_is_the_conjugate(self, ring, step):
+        # the ideal over the smaller root, by its own Euclid, is the conjugate
+        # of the ideal over the larger root, and conjugation keeps primary
+        for p in range(step + 1, 2 * 10**4, step):
+            if is_prime(p):
+                first, second = _primes_over(ring, p)
+                smaller = _trace_roots(ring, p)[1]
+                assert second == first.conj() == _prime_over(ring, p, smaller)
+
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(["eisenstein", "gaussian"]), st.integers(7, 10**15))
     @example("eisenstein", 7)

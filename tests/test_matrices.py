@@ -92,6 +92,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SignMatrix(5, ((None,),))
 
+    @pytest.mark.parametrize("m", [2.0, True, "2", None])
+    def test_modulus_must_be_an_int(self, m):
+        with pytest.raises(ValueError) as exc:
+            SignMatrix(m, ((None, 0), (0, None)))
+        assert str(exc.value) == f"modulus must be 2, 3 or 4, got {m}"
+
+    @pytest.mark.parametrize("e", [True, False, 1.0])
+    def test_exponents_must_be_ints(self, e):
+        # True == 1 and hash(True) == hash(1): a bool would be stored, print
+        # as True and equal the int matrix
+        with pytest.raises(ValueError) as exc:
+            SignMatrix(2, ((None, e), (0, None)))
+        assert str(exc.value) == (
+            f"off-diagonal entry (0,1) must be an exponent in [0,2), got {e!r}"
+        )
+
+    def test_from_signs_rejects_bools(self):
+        with pytest.raises(ValueError) as exc:
+            SignMatrix.from_signs([[0, True], [True, 0]])
+        assert str(exc.value) == "off-diagonal entry (0,1) must be +1 or -1, got True"
+
     def test_signs_roundtrip(self):
         assert SignMatrix.from_signs(QR_EXAMPLE.signs()) == QR_EXAMPLE
 
